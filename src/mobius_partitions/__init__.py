@@ -14,13 +14,12 @@ from mobius_partitions.partitions import (
     partition_table_pentagonal,
     sr_table_enum,
     sr_table_gf,
+    weighted_sr_series,
 )
 from mobius_partitions.identities import (
-    CoeffTables,
     VerificationReport,
     build_a,
     build_b,
-    build_coeff_tables,
     verify_b_symmetry,
     verify_corollary,
     verify_lambert,
@@ -55,11 +54,10 @@ __all__ = [
     "partition_table_pentagonal",
     "sr_table_enum",
     "sr_table_gf",
-    "CoeffTables",
+    "weighted_sr_series",
     "VerificationReport",
     "build_a",
     "build_b",
-    "build_coeff_tables",
     "verify_b_symmetry",
     "verify_corollary",
     "verify_lambert",

@@ -164,32 +164,37 @@ def cmd_table(args) -> int:
     return EXIT_OK
 
 
+def _given(value, default):
+    """The flag's value unless it was left out; an explicit 0 stays 0."""
+    return default if value is None else value
+
+
 def _run_verifier(args):
     nmax = args.nmax
     ident = args.identity
     cap = args.max_counterexamples
     if ident == "thm1":
-        return verify_theorem1(nmax if nmax is not None else 100, args.r or 1, cap=cap)
+        return verify_theorem1(_given(nmax, 100), _given(args.r, 1), cap=cap)
     if ident == "thm2":
-        return verify_theorem2(nmax if nmax is not None else 60, args.rmax or 6, cap=cap)
+        return verify_theorem2(_given(nmax, 60), _given(args.rmax, 6), cap=cap)
     if ident in ("cor2", "cor3", "cor4"):
-        return verify_corollary(int(ident[3]), nmax if nmax is not None else 45, cap=cap)
+        return verify_corollary(int(ident[3]), _given(nmax, 45), cap=cap)
     if ident == "weighted":
-        return verify_weighted_corollary(nmax if nmax is not None else 30, args.r or 1, cap=cap)
+        return verify_weighted_corollary(_given(nmax, 30), _given(args.r, 1), cap=cap)
     if ident == "phi":
-        return verify_phi_identities(nmax if nmax is not None else 60, cap=cap)
+        return verify_phi_identities(_given(nmax, 60), cap=cap)
     if ident == "prime-alpha":
         return verify_prime_corollary(
-            nmax if nmax is not None else 50, args.alpha or 2, args.which or "i", cap=cap
+            _given(nmax, 50), _given(args.alpha, 2), _given(args.which, "i"), cap=cap
         )
     if ident == "b-symmetry":
-        return verify_b_symmetry(args.rmax or 10, cap=cap)
+        return verify_b_symmetry(_given(args.rmax, 10), cap=cap)
     if ident == "lemma1":
-        return verify_lemma1(nmax if nmax is not None else 40, args.rmax or 5, cap=cap)
+        return verify_lemma1(_given(nmax, 40), _given(args.rmax, 5), cap=cap)
     if ident == "lambert":
-        return verify_lambert(nmax if nmax is not None else 200, cap=cap)
+        return verify_lambert(_given(nmax, 200), cap=cap)
     if ident == "oracle-sr":
-        return verify_sr_oracle(nmax if nmax is not None else 30, args.rmax or 4, cap=cap)
+        return verify_sr_oracle(_given(nmax, 30), _given(args.rmax, 4), cap=cap)
     raise AssertionError(ident)
 
 
@@ -201,6 +206,9 @@ def cmd_verify(args) -> int:
         )
         return EXIT_USAGE
     report = _run_verifier(args)
+    if report.checked == 0:
+        print(f"error: {report.identity} {report.params} checks nothing", file=sys.stderr)
+        return EXIT_USAGE
     if args.format == "json":
         _emit(json.dumps(report.to_dict()), args.out)
     else:

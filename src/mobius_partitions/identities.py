@@ -10,22 +10,20 @@ up to a capped number of counterexamples as evidence.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import isqrt
-from typing import Optional
+from functools import partial
 
-from mobius_partitions.arith import MultiplicativeTable, build_sieve, mobius, totient
+from mobius_partitions.arith import MultiplicativeTable, build_sieve, mobius, mobius_scaled, totient
 from mobius_partitions.partitions import (
     ENUMERATION_CAP,
-    PartitionTable,
-    SrTable,
     backward_difference,
     count_restricted,
     enumerate_partitions,
     partition_table_pentagonal,
     sr_table_enum,
     sr_table_gf,
+    weighted_sr_series,
 )
-from mobius_partitions.series import TruncatedSeries, lambert_sum, pochhammer
+from mobius_partitions.series import TruncatedSeries, lambert_sum
 
 DEFAULT_COUNTEREXAMPLE_CAP = 10
 
@@ -39,23 +37,16 @@ def _b_width(r: int) -> int:
     return r * (r - 1) // 2 + 1
 
 
-@dataclass(frozen=True)
-class CoeffTables:
-    """Jagged rows a_{r,.} and b_{r,.} for r = 1..rmax (row r at index r-1)."""
-
-    rmax: int
-    a: tuple
-    b: tuple
-
-
 @dataclass
 class Counterexample:
-    n: int
+    """A failed check; index is the sweep position, e.g. (n,) or (r, n, k)."""
+
+    index: tuple
     lhs: int
     rhs: int
 
     def to_dict(self) -> dict:
-        return {"n": self.n, "lhs": self.lhs, "rhs": self.rhs}
+        return {"index": list(self.index), "lhs": self.lhs, "rhs": self.rhs}
 
 
 @dataclass
@@ -73,12 +64,14 @@ class VerificationReport:
     def passed(self) -> bool:
         return self.failures == 0
 
-    def record(self, n: int, lhs: int, rhs: int) -> None:
+    def record(self, index: int | tuple, lhs: int, rhs: int) -> None:
+        """Count one check; index is an int n or a tuple of sweep indices."""
         self.checked += 1
         if lhs != rhs:
             self.failures += 1
             if len(self.counterexamples) < self.cap:
-                self.counterexamples.append(Counterexample(n, lhs, rhs))
+                index = index if isinstance(index, tuple) else (index,)
+                self.counterexamples.append(Counterexample(index, lhs, rhs))
 
     def to_dict(self) -> dict:
         return {
@@ -94,7 +87,7 @@ class VerificationReport:
         status = "PASS" if self.passed else "FAIL"
         line = f"{status} {self.identity} {self.params}: {self.checked} checks, {self.failures} failures"
         for c in self.counterexamples:
-            line += f"\n  n={c.n}: lhs={c.lhs} rhs={c.rhs}"
+            line += f"\n  at {c.index}: lhs={c.lhs} rhs={c.rhs}"
         return line
 
 
@@ -162,31 +155,17 @@ def build_a(rmax: int, table: MultiplicativeTable) -> list:
     return rows
 
 
-def build_coeff_tables(rmax: int, table: Optional[MultiplicativeTable] = None) -> CoeffTables:
-    if table is None:
-        table = build_sieve(max(rmax, 1))
-    a = build_a(rmax, table)
-    b = build_b(rmax)
-    return CoeffTables(rmax, tuple(tuple(r) for r in a), tuple(tuple(r) for r in b))
-
-
-def _mobius_weighted_sum(sr: SrTable, table: MultiplicativeTable, n: int) -> int:
-    """sum_{k=r}^{n+r} S^(r)_{n+r,k} mu(k)."""
-    r = sr.r
-    return sum(sr.count(n + r, k) * mobius(table, k) for k in range(r, n + r + 1))
-
-
 def verify_theorem1(nmax: int, r: int, cap: int = DEFAULT_COUNTEREXAMPLE_CAP) -> VerificationReport:
     """p(n) = (-1)^(r-1) sum_k S^(r)_{n+r,k} mu(k) for r in {1, 2}."""
     if r not in (1, 2):
         raise ValueError(f"r must be 1 or 2, got {r}")
     report = VerificationReport("thm1", {"nmax": nmax, "r": r}, cap=cap)
     sieve = build_sieve(nmax + r)
-    sr = sr_table_gf(r, nmax + r)
+    lhs = weighted_sr_series(r, partial(mobius, sieve), nmax + r)
     p = partition_table_pentagonal(nmax)
     sign = (-1) ** (r - 1)
     for n in range(nmax + 1):
-        report.record(n, p.value(n), sign * _mobius_weighted_sum(sr, sieve, n))
+        report.record(n, p.value(n), sign * lhs.coefficient(n + r))
     return report
 
 
@@ -197,12 +176,11 @@ def verify_theorem2(nmax: int, rmax: int, cap: int = DEFAULT_COUNTEREXAMPLE_CAP)
     a_rows = build_a(rmax, sieve)
     p = partition_table_pentagonal(nmax)
     for r in range(1, rmax + 1):
-        sr = sr_table_gf(r, nmax + r)
+        lhs = weighted_sr_series(r, partial(mobius, sieve), nmax + r)
         a_row = a_rows[r - 1]
         for n in range(nmax + 1):
-            lhs = _mobius_weighted_sum(sr, sieve, n)
             rhs = sum(c * p.value(n - j) for j, c in enumerate(a_row))
-            report.record(n, lhs, rhs)
+            report.record((r, n), lhs.coefficient(n + r), rhs)
     return report
 
 
@@ -225,11 +203,16 @@ def verify_weighted_corollary(nmax: int, r: int, cap: int = DEFAULT_COUNTEREXAMP
     return report
 
 
-# (table r, sum start k, S-table offset, difference expression, predicate, n start)
+# which -> S^(r) table r, S-table index offset, first n, difference of p,
+# count_restricted predicate
 _COROLLARY_SPECS = {
-    2: dict(r=3, offset=3, nmin=0),
-    3: dict(r=4, offset=5, nmin=3),
-    4: dict(r=5, offset=5, nmin=6),
+    2: dict(r=3, offset=3, nmin=0, diff=lambda p, n: backward_difference(p, 1, n),
+            predicate="no-ones"),
+    3: dict(r=4, offset=5, nmin=3, diff=lambda p, n: backward_difference(p, 2, n),
+            predicate="no-ones-and-largest-repeated"),
+    4: dict(r=5, offset=5, nmin=6,
+            diff=lambda p, n: backward_difference(p, 2, n) - backward_difference(p, 2, n - 4),
+            predicate="no-ones-at-most-one-two-largest-repeated"),
 }
 
 
@@ -251,32 +234,16 @@ def verify_corollary(
     if which not in _COROLLARY_SPECS:
         raise ValueError(f"which must be 2, 3 or 4, got {which}")
     spec = _COROLLARY_SPECS[which]
-    r, offset, nmin = spec["r"], spec["offset"], spec["nmin"]
+    offset = spec["offset"]
     report = VerificationReport(f"cor{which}", {"nmax": nmax}, cap=cap)
-    limit = nmax + offset
-    sieve = build_sieve(limit)
-    sr = sr_table_gf(r, limit)
+    sieve = build_sieve(nmax + offset)
+    msum = weighted_sr_series(spec["r"], partial(mobius, sieve), nmax + offset)
     p = partition_table_pentagonal(max(nmax, 1))
-    predicates = {
-        2: "no-ones",
-        3: "no-ones-and-largest-repeated",
-        4: "no-ones-at-most-one-two-largest-repeated",
-    }
-    for n in range(nmin, nmax + 1):
-        if which == 2:
-            diff = backward_difference(p, 1, n)
-        elif which == 3:
-            diff = backward_difference(p, 2, n)
-        else:
-            diff = backward_difference(p, 2, n) - (
-                backward_difference(p, 2, n - 4) if n >= 4 else 0
-            )
-        msum = -sum(
-            sr.count(n + offset, k) * mobius(sieve, k) for k in range(r, n + offset + 1)
-        )
-        report.record(n, diff, msum)
+    for n in range(spec["nmin"], nmax + 1):
+        diff = spec["diff"](p, n)
+        report.record(n, diff, -msum.coefficient(n + offset))
         if n <= oracle_cap:
-            report.record(n, diff, count_restricted(n, predicates[which]))
+            report.record(n, diff, count_restricted(n, spec["predicate"]))
     return report
 
 
@@ -285,18 +252,33 @@ def verify_phi_identities(nmax: int, cap: int = DEFAULT_COUNTEREXAMPLE_CAP) -> V
     and sum_k S^(2)_{n+2,k} phi(k) = sum_k p(n-k) = S^(1)_{n+1,1}."""
     report = VerificationReport("phi", {"nmax": nmax}, cap=cap)
     sieve = build_sieve(nmax + 2)
-    s1 = sr_table_gf(1, nmax + 2)
-    s2 = sr_table_gf(2, nmax + 2)
+    phi = partial(totient, sieve)
+    s1_phi = weighted_sr_series(1, phi, nmax + 1)
+    s2_phi = weighted_sr_series(2, phi, nmax + 2)
+    s1_ones = weighted_sr_series(1, lambda k: int(k == 1), nmax + 1)
     p = partition_table_pentagonal(nmax)
     for n in range(nmax + 1):
-        lhs1 = sum(s1.count(n + 1, k) * totient(sieve, k) for k in range(1, n + 2))
         rhs1 = sum((k + 1) * p.value(n - k) for k in range(n + 1))
-        report.record(n, lhs1, rhs1)
-        lhs2 = sum(s2.count(n + 2, k) * totient(sieve, k) for k in range(2, n + 3))
+        report.record(n, s1_phi.coefficient(n + 1), rhs1)
         rhs2 = sum(p.value(n - k) for k in range(n + 1))
-        report.record(n, lhs2, rhs2)
-        report.record(n, rhs2, s1.count(n + 1, 1))
+        report.record(n, s2_phi.coefficient(n + 2), rhs2)
+        report.record(n, rhs2, s1_ones.coefficient(n + 1))
     return report
+
+
+def _mobius_coprime(sieve: MultiplicativeTable, alpha: int, k: int) -> int:
+    """mu(k) for k not divisible by alpha, else 0."""
+    return mobius(sieve, k) if k % alpha else 0
+
+
+# which -> (S^(r) table r, weight(sieve, alpha, k), coefficient of
+# p(n+1-alpha^j), coefficient of p(n+2-alpha^(j+1))); every right-hand side
+# sums over the powers alpha^j <= n+1, past which both p arguments are < 0.
+_PRIME_ALPHA_SPECS = {
+    "i": (1, mobius_scaled, -1, 0),
+    "ii": (2, mobius_scaled, 1, -1),
+    "alternate-form": (1, _mobius_coprime, 1, 0),
+}
 
 
 def verify_prime_corollary(
@@ -311,50 +293,22 @@ def verify_prime_corollary(
     which="alternate-form": the rewrite of (i) as a double sum skipping
     k = 0 mod alpha, equal to +sum_j p(n+1-alpha^j).
     """
-    if which not in ("i", "ii", "alternate-form"):
+    if which not in _PRIME_ALPHA_SPECS:
         raise ValueError(f"which must be i, ii or alternate-form, got {which!r}")
+    r, weight, c_this, c_next = _PRIME_ALPHA_SPECS[which]
     sieve = build_sieve(max(alpha * (nmax + 2), alpha))
     if not sieve.is_prime(alpha):
         raise ValueError(f"alpha={alpha} is not prime")
     report = VerificationReport("prime-alpha", {"nmax": nmax, "alpha": alpha, "which": which}, cap=cap)
+    lhs = weighted_sr_series(r, partial(weight, sieve, alpha), nmax + r)
     p = partition_table_pentagonal(nmax + 2)
-    if which == "ii":
-        sr = sr_table_gf(2, nmax + 2)
-    else:
-        sr = sr_table_gf(1, nmax + 1)
     for n in range(nmax + 1):
-        if which == "i":
-            lhs = sum(
-                sr.count(n + 1, k) * mobius(sieve, alpha * k) for k in range(1, n + 2)
-            )
-            rhs = 0
-            power = 1
-            while power <= n + 1:
-                rhs -= p.value(n + 1 - power)
-                power *= alpha
-        elif which == "ii":
-            lhs = sum(
-                sr.count(n + 2, k) * mobius(sieve, alpha * k) for k in range(2, n + 3)
-            )
-            rhs = 0
-            power = 1
-            while power <= n + 2:
-                rhs += p.value(n + 1 - power) - p.value(n + 2 - alpha * power)
-                power *= alpha
-        else:
-            lhs = 0
-            ceil_blocks = -((n + 1) // -alpha)
-            for blk in range(1, ceil_blocks + 1):
-                for d in range(1, alpha):
-                    k = alpha * (blk - 1) + d
-                    if k <= n + 1:
-                        lhs += sr.count(n + 1, k) * mobius(sieve, k)
-            rhs = 0
-            power = 1
-            while power <= n + 1:
-                rhs += p.value(n + 1 - power)
-                power *= alpha
-        report.record(n, lhs, rhs)
+        rhs = 0
+        power = 1
+        while power <= n + 1:
+            rhs += c_this * p.value(n + 1 - power) + c_next * p.value(n + 2 - alpha * power)
+            power *= alpha
+        report.record(n, lhs.coefficient(n + r), rhs)
     return report
 
 
@@ -375,8 +329,7 @@ def verify_b_symmetry(rmax: int, cap: int = DEFAULT_COUNTEREXAMPLE_CAP) -> Verif
         for j in range(len(cur)):
             lhs = cur[j]
             rhs = at(prev, j) - (-1) ** r * at(prev, half - j)
-            # encode (r, j) into the report's n slot as r*1000 + j
-            report.record(r * 1000 + j, lhs, rhs)
+            report.record((r, j), lhs, rhs)
     return report
 
 
@@ -396,7 +349,7 @@ def verify_lemma1(
             for k in range(r + 1, n + 1):
                 lhs = hi.count(n + r, k)
                 rhs = lo.count(n + r, k) - lo.count(n, k)
-                report.record(n, lhs, rhs)
+                report.record((r, n, k), lhs, rhs)
     return report
 
 
@@ -419,5 +372,5 @@ def verify_sr_oracle(nmax: int, rmax: int, cap: int = DEFAULT_COUNTEREXAMPLE_CAP
         slow = sr_table_enum(r, nmax)
         for n in range(nmax + 1):
             for k in range(r, n + 1):
-                report.record(n, fast.count(n, k), slow.count(n, k))
+                report.record((r, n, k), fast.count(n, k), slow.count(n, k))
     return report

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Iterator
+from typing import Callable, Iterator
 
-from mobius_partitions.series import TruncatedSeries, pochhammer, reciprocal
+from mobius_partitions.series import TruncatedSeries, lambert_sum, pochhammer, reciprocal
 
 # Full enumeration stays sub-second up to about here (p(45) ~ 89k partitions).
 ENUMERATION_CAP = 45
@@ -174,6 +174,19 @@ def sr_table_gf(r: int, limit: int) -> SrTable:
             for n in range(mk, limit + 1):
                 rows[n][k] += inv[n - mk]
     return SrTable(r, limit, rows)
+
+
+def weighted_sr_series(r: int, f: Callable[[int], int], order: int) -> TruncatedSeries:
+    """sum_k S^(r)_{n,k} f(k) for n = 0..order, as the coefficients of
+    1/(q^r; q)_inf * sum_{k >= r} f(k) q^k/(1-q^k).
+
+    The Lambert factor is built from divisor sums and never simplified, so
+    an identity about it (such as the mu-series collapsing to q) is not
+    assumed here.  f is called only for r <= k <= order.
+    """
+    _check_sr_args(r, order)
+    lam = lambert_sum(lambda k: f(k) if k >= r else 0, order)
+    return reciprocal(pochhammer(r, None, order)) * lam
 
 
 def _check_sr_args(r: int, limit: int) -> None:

@@ -101,18 +101,6 @@ class TruncatedSeries:
         return f"TruncatedSeries(order={self.order}, coeffs={list(shown)})"
 
 
-def add(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    return a + b
-
-
-def sub(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    return a - b
-
-
-def mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    return a * b
-
-
 def pochhammer(start: int, factors: Optional[int], order: int) -> TruncatedSeries:
     """Truncated q-Pochhammer product prod_k (1 - q^(start+k)).
 

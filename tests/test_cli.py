@@ -124,6 +124,27 @@ def test_verify_unknown_identity(capsys):
     assert "unknown identity" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["b-symmetry", "--rmax", "0"],
+        ["thm1", "--r", "0"],
+        ["prime-alpha", "--alpha", "0"],
+    ],
+)
+def test_verify_explicit_zero_is_not_replaced_by_default(capsys, argv):
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [["cor4", "--nmax", "3"], ["lemma1", "--nmax", "1"]])
+def test_verify_checking_nothing_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2 and out == ""
+    assert "checks nothing" in err
+
+
 def test_verify_bad_alpha(capsys):
     code, _, err = run(capsys, "verify", "prime-alpha", "--alpha", "6", "--nmax", "5")
     assert code == 2

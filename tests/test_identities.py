@@ -1,11 +1,11 @@
 import pytest
 
+from mobius_partitions import identities
 from mobius_partitions.arith import build_sieve
 from mobius_partitions.identities import (
     VerificationReport,
     build_a,
     build_b,
-    build_coeff_tables,
     verify_b_symmetry,
     verify_corollary,
     verify_lambert,
@@ -20,32 +20,12 @@ from mobius_partitions.identities import (
 from mobius_partitions.partitions import sr_table_enum
 from mobius_partitions.series import pochhammer
 
-# Frozen coefficient tables (rows r = 1..6 / 1..7).
-B_ROWS = [
-    [1],
-    [1, -1],
-    [1, -1, -1, 1],
-    [1, -1, -1, 0, 1, 1, -1],
-    [1, -1, -1, 0, 0, 2, 0, 0, -1, -1, 1],
-    [1, -1, -1, 0, 0, 1, 1, 1, -1, -1, -1, 0, 0, 1, 1, -1],
-]
-A_ROWS = [
-    [1],
-    [-1],
-    [-1, 1],
-    [0, -1, 2, -1],
-    [-1, 2, -1, 0, 1, -2, 1],
-    [1, -2, 0, 1, 1, -1, 1, -1, -2, 3, -1],
-    [-1, 1, 1, 1, -2, -1, 0, -1, 3, -1, 1, -1, 0, 1, -2, 1],
-]
+def test_build_b_matches_reference_rows(b_rows):
+    assert build_b(6) == b_rows
 
 
-def test_build_b_matches_reference_rows():
-    assert build_b(6) == B_ROWS
-
-
-def test_build_a_matches_reference_rows():
-    assert build_a(7, build_sieve(7)) == A_ROWS
+def test_build_a_matches_reference_rows(a_rows):
+    assert build_a(7, build_sieve(7)) == a_rows
 
 
 def test_b_rows_equal_pochhammer_coefficients():
@@ -61,13 +41,6 @@ def test_row_widths():
     for r in range(1, 10):
         assert len(rows_b[r - 1]) == r * (r - 1) // 2 + 1
         assert len(rows_a[r - 1]) == (r - 1) * (r - 2) // 2 + 1
-
-
-def test_build_coeff_tables():
-    ct = build_coeff_tables(6)
-    assert ct.rmax == 6
-    assert [list(r) for r in ct.b] == B_ROWS
-    assert [list(r) for r in ct.a] == A_ROWS[:6]
 
 
 def test_build_rejects_bad_args():
@@ -91,6 +64,15 @@ def test_report_bookkeeping():
     d = r.to_dict()
     assert d["checked"] == 6 and d["failures"] == 5 and not d["passed"]
     assert "FAIL" in r.summary()
+
+
+def test_report_keeps_full_index():
+    r = VerificationReport("demo", {})
+    r.record(7, 1, 2)
+    r.record((46, 1000), 1, 2)
+    r.record((47, 0), 3, 4)
+    assert [c["index"] for c in r.to_dict()["counterexamples"]] == [[7], [46, 1000], [47, 0]]
+    assert "at (46, 1000): lhs=1 rhs=2" in r.summary()
 
 
 def test_theorem1_worked_examples():
@@ -212,6 +194,20 @@ def test_lambert_identity():
 
 def test_sr_oracle():
     assert verify_sr_oracle(30, 5).passed
+
+
+def test_weighted_sweeps_build_no_dense_table(monkeypatch):
+    def refuse(r, limit):
+        raise AssertionError("dense S^(r) table built")
+
+    monkeypatch.setattr(identities, "sr_table_gf", refuse)
+    reports = [verify_theorem1(25, r) for r in (1, 2)]
+    reports.append(verify_theorem2(20, 5))
+    reports += [verify_corollary(which, 20) for which in (2, 3, 4)]
+    reports.append(verify_phi_identities(25))
+    reports += [verify_prime_corollary(25, 3, which) for which in ("i", "ii", "alternate-form")]
+    for rep in reports:
+        assert rep.passed and rep.checked > 0, rep.summary()
 
 
 def test_theorem2_specializations_recover_corollaries():

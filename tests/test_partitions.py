@@ -1,5 +1,6 @@
 import pytest
 
+from mobius_partitions.arith import build_sieve, mobius, totient
 from mobius_partitions.partitions import (
     Partition,
     backward_difference,
@@ -9,6 +10,7 @@ from mobius_partitions.partitions import (
     partition_table_pentagonal,
     sr_table_enum,
     sr_table_gf,
+    weighted_sr_series,
 )
 
 
@@ -133,11 +135,32 @@ def test_sr_routes_agree():
         assert sr_table_gf(r, 30) == sr_table_enum(r, 30)
 
 
+@pytest.mark.parametrize("r", range(1, 7))
+def test_weighted_sr_series_matches_enumeration(r):
+    sieve = build_sieve(90)
+    weights = {
+        "mu": lambda k: mobius(sieve, k),
+        "phi": lambda k: totient(sieve, k),
+        "mu(2k)": lambda k: mobius(sieve, 2 * k),
+        "mu(3k)": lambda k: mobius(sieve, 3 * k),
+        "mu, 3 not dividing k": lambda k: mobius(sieve, k) if k % 3 else 0,
+        "k == 1": lambda k: int(k == 1),
+    }
+    oracle = sr_table_enum(r, 30)
+    for name, f in weights.items():
+        series = weighted_sr_series(r, f, 30)
+        for n in range(31):
+            want = sum(oracle.count(n, k) * f(k) for k in range(r, n + 1))
+            assert series.coefficient(n) == want, (name, n)
+
+
 def test_sr_bad_args():
     with pytest.raises(ValueError):
         sr_table_gf(0, 5)
     with pytest.raises(ValueError):
         sr_table_enum(4, 3)
+    with pytest.raises(ValueError):
+        weighted_sr_series(4, int, 3)
 
 
 def test_backward_difference():
