@@ -42,20 +42,24 @@ EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
-IDENTITY_IDS = (
-    "thm1",
-    "thm2",
-    "cor2",
-    "cor3",
-    "cor4",
-    "weighted",
-    "phi",
-    "prime-alpha",
-    "b-symmetry",
-    "lemma1",
-    "lambert",
-    "oracle-sr",
-)
+# The sweep flags each identity reads and each table kind needs; any other
+# sweep flag given is refused rather than silently ignored.
+VERIFY_FLAGS = {
+    "thm1": ("nmax", "r"),
+    "thm2": ("nmax", "rmax"),
+    "cor2": ("nmax",),
+    "cor3": ("nmax",),
+    "cor4": ("nmax",),
+    "weighted": ("nmax", "r"),
+    "phi": ("nmax",),
+    "prime-alpha": ("nmax", "alpha", "which"),
+    "b-symmetry": ("rmax",),
+    "lemma1": ("nmax", "rmax"),
+    "lambert": ("nmax",),
+    "oracle-sr": ("nmax", "rmax"),
+}
+TABLE_FLAGS = {"a": ("rmax",), "b": ("rmax",), "sr": ("r", "nmax"), "p": ("nmax",)}
+SWEEP_FLAGS = ("nmax", "rmax", "r", "alpha", "which")
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -68,6 +72,18 @@ def _emit(text: str, out: Optional[str]) -> None:
             fh.write(text)
             if not text.endswith("\n"):
                 fh.write("\n")
+
+
+def _refuse_ignored_flags(args, command: str, accepted) -> bool:
+    """Print an error and return True if a flag the command ignores was given."""
+    ignored = [
+        f"--{name}"
+        for name in SWEEP_FLAGS
+        if name not in accepted and getattr(args, name, None) is not None
+    ]
+    if ignored:
+        print(f"error: {command} does not take {', '.join(ignored)}", file=sys.stderr)
+    return bool(ignored)
 
 
 def _table_text(header, row_labels, rows) -> str:
@@ -111,12 +127,14 @@ def _pad(rows):
 
 
 def cmd_table(args) -> int:
+    if _refuse_ignored_flags(args, f"table {args.kind}", TABLE_FLAGS[args.kind]):
+        return EXIT_USAGE
     fmt = args.format
-    if args.which in ("a", "b"):
+    if args.kind in ("a", "b"):
         if args.rmax is None:
             print("table a/b requires --rmax", file=sys.stderr)
             return EXIT_USAGE
-        if args.which == "b":
+        if args.kind == "b":
             jagged = build_b(args.rmax)
         else:
             jagged = build_a(args.rmax, build_sieve(max(args.rmax, 1)))
@@ -125,7 +143,7 @@ def cmd_table(args) -> int:
         header = list(range(width))
         labels = list(range(1, args.rmax + 1))
         corner = "r"
-    elif args.which == "p":
+    elif args.kind == "p":
         if args.nmax is None:
             print("table p requires --nmax", file=sys.stderr)
             return EXIT_USAGE
@@ -138,7 +156,7 @@ def cmd_table(args) -> int:
         header = ["p"]
         labels = list(range(args.nmax + 1))
         corner = "n"
-    elif args.which == "sr":
+    elif args.kind == "sr":
         if args.r is None or args.nmax is None:
             print("table sr requires --r and --nmax", file=sys.stderr)
             return EXIT_USAGE
@@ -151,14 +169,11 @@ def cmd_table(args) -> int:
         ]
         params = {"r": args.r, "nmax": args.nmax}
         corner = "n"
-    else:
-        print(f"unknown table kind {args.which!r}", file=sys.stderr)
-        return EXIT_USAGE
 
     if fmt == "csv":
         _emit(_table_csv(corner, header, labels, rows), args.out)
     elif fmt == "json":
-        _emit(_table_json(args.which, params, rows), args.out)
+        _emit(_table_json(args.kind, params, rows), args.out)
     else:
         _emit(_table_text(header, labels, rows), args.out)
     return EXIT_OK
@@ -199,11 +214,13 @@ def _run_verifier(args):
 
 
 def cmd_verify(args) -> int:
-    if args.identity not in IDENTITY_IDS:
+    if args.identity not in VERIFY_FLAGS:
         print(
-            f"unknown identity {args.identity!r}; choose from {', '.join(IDENTITY_IDS)}",
+            f"unknown identity {args.identity!r}; choose from {', '.join(VERIFY_FLAGS)}",
             file=sys.stderr,
         )
+        return EXIT_USAGE
+    if _refuse_ignored_flags(args, f"verify {args.identity}", VERIFY_FLAGS[args.identity]):
         return EXIT_USAGE
     report = _run_verifier(args)
     if report.checked == 0:
@@ -350,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="write output to a file")
 
     pt = sub.add_parser("table", help="emit a coefficient, partition or S table")
-    pt.add_argument("which", choices=("a", "b", "sr", "p"))
+    pt.add_argument("kind", metavar="which", choices=tuple(TABLE_FLAGS))
     common(pt)
     pt.set_defaults(func=cmd_table)
 

@@ -257,10 +257,13 @@ def verify_phi_identities(nmax: int, cap: int = DEFAULT_COUNTEREXAMPLE_CAP) -> V
     s2_phi = weighted_sr_series(2, phi, nmax + 2)
     s1_ones = weighted_sr_series(1, lambda k: int(k == 1), nmax + 1)
     p = partition_table_pentagonal(nmax)
+    # Running sums: rhs2(n) = rhs2(n-1) + p(n), and rhs1(n) = rhs1(n-1) + rhs2(n)
+    # since sum_k (k+1) p(n-k) = sum_{j<=n} (n-j+1) p(j).
+    rhs1 = rhs2 = 0
     for n in range(nmax + 1):
-        rhs1 = sum((k + 1) * p.value(n - k) for k in range(n + 1))
+        rhs2 += p.value(n)
+        rhs1 += rhs2
         report.record(n, s1_phi.coefficient(n + 1), rhs1)
-        rhs2 = sum(p.value(n - k) for k in range(n + 1))
         report.record(n, s2_phi.coefficient(n + 2), rhs2)
         report.record(n, rhs2, s1_ones.coefficient(n + 1))
     return report

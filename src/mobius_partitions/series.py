@@ -8,7 +8,7 @@ re-truncating, which would hide off-by-one errors in identity sweeps.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional, Sequence
 
 
 class TruncatedSeries:
@@ -73,17 +73,9 @@ class TruncatedSeries:
         )
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        """Truncated Cauchy product; schoolbook O(N^2) is plenty at desk scale."""
+        """Truncated Cauchy product, by Kronecker substitution (see _mul)."""
         self._check_same_order(other)
-        n = self.order
-        a, b = self.coeffs, other.coeffs
-        out = [0] * (n + 1)
-        for i, ai in enumerate(a):
-            if ai == 0:
-                continue
-            for j in range(n + 1 - i):
-                out[i + j] += ai * b[j]
-        return TruncatedSeries(out, n)
+        return TruncatedSeries(_mul(self.coeffs, other.coeffs, self.order), self.order)
 
     def __neg__(self) -> "TruncatedSeries":
         return TruncatedSeries((-c for c in self.coeffs), self.order)
@@ -101,42 +93,140 @@ class TruncatedSeries:
         return f"TruncatedSeries(order={self.order}, coeffs={list(shown)})"
 
 
+def _mul(a: Sequence[int], b: Sequence[int], order: int) -> list:
+    """Coefficients 0..order of the product of coefficient sequences a, b.
+
+    Kronecker substitution (Harvey, J. Symbolic Comput. 44, 2009): each
+    sequence becomes one integer holding a coefficient per fixed-width slot,
+    the two integers are multiplied once by CPython's big-int multiply, and
+    the product's slots are read back.  A slot is wide enough for every
+    product coefficient c to satisfy |c| < 2^(w-1), w the slot width in
+    bits.  Negative coefficients are packed into a second integer and
+    subtracted, so slots borrow from their neighbours; adding 2^(w-1) to
+    every slot of the truncated product makes each slot c + 2^(w-1), in
+    0..2^w - 1, so the slots can be cut apart with no carry to undo.
+
+    Kernels call this directly, so that TruncatedSeries.__mul__ stays the
+    one entry point for products a caller asks for.
+    """
+    a = _trimmed(a, order)
+    b = _trimmed(b, order)
+    if not a or not b:
+        return [0] * (order + 1)
+    bits = (
+        max(max(a), -min(a)).bit_length()
+        + max(max(b), -min(b)).bit_length()
+        + min(len(a), len(b)).bit_length()
+        + 2
+    )
+    width = (bits + 7) // 8  # bytes per slot
+    product = _pack(a, width) * _pack(b, width)
+    slots = min(order + 1, len(a) + len(b) - 1)
+    size = width * slots
+    mask = (1 << (8 * size)) - 1
+    bias = int.from_bytes((bytes(width - 1) + b"\x80") * slots, "little")
+    # (c + 2^(w-1)) xor 2^(w-1) is c in w-bit two's complement.
+    data = ((((product & mask) + bias) & mask) ^ bias).to_bytes(size, "little")
+    view = memoryview(data)
+    out = [
+        int.from_bytes(view[i : i + width], "little", signed=True)
+        for i in range(0, size, width)
+    ]
+    out += [0] * (order + 1 - slots)
+    return out
+
+
+def _trimmed(a: Sequence[int], order: int) -> Sequence[int]:
+    """a cut to its first order+1 terms, trailing zeros dropped."""
+    end = min(len(a), order + 1)
+    while end and not a[end - 1]:
+        end -= 1
+    return a[:end]
+
+
+def _pack(a: Sequence[int], width: int) -> int:
+    """sum_i a[i] 2^(8 width i), every |a[i]| < 2^(8 width)."""
+    zero = bytes(width)
+    pos = int.from_bytes(
+        b"".join(c.to_bytes(width, "little") if c > 0 else zero for c in a), "little"
+    )
+    if min(a) >= 0:
+        return pos
+    neg = int.from_bytes(
+        b"".join((-c).to_bytes(width, "little") if c < 0 else zero for c in a), "little"
+    )
+    return pos - neg
+
+
+# Below this many terms the online convolution in pochhammer runs as a
+# plain double loop.
+_POCHHAMMER_BASE = 32
+
+
 def pochhammer(start: int, factors: Optional[int], order: int) -> TruncatedSeries:
     """Truncated q-Pochhammer product prod_k (1 - q^(start+k)).
 
     With factors=m the product has exactly m terms, k = 0..m-1.  With
     factors=None ("infinite") factors are included while start+k <= order:
     every omitted factor is congruent to 1 modulo q^(order+1).
+
+    The product G over the exponent set S is found from its logarithmic
+    derivative: q G'/G = -sum_k sigma_S(k) q^k, with sigma_S(k) the sum of
+    the m in S dividing k, so n G_n = -sum_{k=1..n} sigma_S(k) G_{n-k}.
+    sigma_S comes from a divisor sieve, and the recurrence is solved by
+    divide-and-conquer online convolution: each solved half is folded into
+    the next with one _mul.
     """
     if start < 1:
         raise ValueError(f"start must be >= 1, got {start}")
     if factors is not None and factors < 0:
         raise ValueError(f"factor count must be >= 0, got {factors}")
-    out = [1] + [0] * order
-    k = 0
-    while (factors is None and start + k <= order) or (factors is not None and k < factors):
-        m = start + k
-        # multiply in place by (1 - q^m)
-        for j in range(order, m - 1, -1):
-            out[j] -= out[j - m]
-        k += 1
-    return TruncatedSeries(out, order)
+    stop = order + 1 if factors is None else min(start + factors, order + 1)
+    sigma = [0] * (order + 1)
+    for m in range(start, stop):
+        for k in range(m, order + 1, m):
+            sigma[k] += m
+    g = [1] + [0] * order
+    # acc[n] holds sum sigma[n-j] g[j] over the j already folded in.
+    acc = [0] * (order + 1)
+
+    def solve(lo: int, hi: int) -> None:
+        if hi - lo <= _POCHHAMMER_BASE:
+            for n in range(max(lo, 1), hi):
+                total = acc[n] + sum(sigma[n - j] * g[j] for j in range(lo, n))
+                g[n] = -total // n  # exact: n G_n is the sum
+            return
+        mid = (lo + hi) // 2
+        solve(lo, mid)
+        part = _mul(g[lo:mid], sigma[: hi - lo], hi - lo - 1)
+        for n in range(mid, hi):
+            acc[n] += part[n - lo]
+        solve(mid, hi)
+
+    solve(0, order + 1)
+    return TruncatedSeries(g, order)
 
 
 def reciprocal(a: TruncatedSeries) -> TruncatedSeries:
-    """Multiplicative inverse modulo q^(order+1); constant term must be +-1."""
+    """Multiplicative inverse modulo q^(order+1); constant term must be +-1.
+
+    Newton iteration (Brent & Kung, JACM 25, 1978): if a g = 1 + O(q^k) then
+    g (2 - a g) = 1/a + O(q^2k), so each step doubles the known terms.
+    """
     c0 = a.coeffs[0]
     if c0 not in (1, -1):
         raise ValueError(f"constant term {c0} is not a unit (+-1)")
     n = a.order
-    out = [0] * (n + 1)
-    out[0] = c0  # 1/c0 == c0 for c0 in {1, -1}
-    for j in range(1, n + 1):
-        acc = 0
-        for i in range(1, j + 1):
-            acc += a.coeffs[i] * out[j - i]
-        out[j] = -c0 * acc
-    return TruncatedSeries(out, n)
+    steps = [n + 1]
+    while steps[-1] > 1:
+        steps.append((steps[-1] + 1) // 2)
+    g = [c0]  # 1/c0 == c0 for c0 in {1, -1}
+    for m in reversed(steps[:-1]):
+        k = len(g)
+        # a g - 1 = q^k e; the new terms k..m-1 are those of -g e q^k.
+        e = _mul(a.coeffs[:m], g, m - 1)[k:]
+        g += [-c for c in _mul(g, e, m - k - 1)]
+    return TruncatedSeries(g, n)
 
 
 def lambert_sum(f: Callable[[int], int], order: int) -> TruncatedSeries:

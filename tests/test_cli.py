@@ -145,6 +145,25 @@ def test_verify_checking_nothing_is_usage_error(capsys, argv):
     assert "checks nothing" in err
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["verify", "thm1", "--which", "ii"], "--which"),
+        (["verify", "lambert", "--rmax", "3"], "--rmax"),
+        (["verify", "b-symmetry", "--rmax", "4", "--nmax", "5"], "--nmax"),
+        (["verify", "phi", "--alpha", "2"], "--alpha"),
+        (["table", "p", "--r", "3"], "--r"),
+        (["table", "p", "--nmax", "4", "--r", "3"], "--r"),
+        (["table", "b", "--rmax", "3", "--alpha", "2"], "--alpha"),
+        (["table", "sr", "--r", "2", "--nmax", "5", "--rmax", "3"], "--rmax"),
+    ],
+)
+def test_ignored_flag_is_usage_error(capsys, argv, flag):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and flag in err
+
+
 def test_verify_bad_alpha(capsys):
     code, _, err = run(capsys, "verify", "prime-alpha", "--alpha", "6", "--nmax", "5")
     assert code == 2

@@ -41,7 +41,19 @@ def test_negative_and_out_of_range():
 
 
 def test_dual_route_equality():
-    assert partition_table_pentagonal(500).values == partition_table_gf(500).values
+    assert partition_table_pentagonal(2000).values == partition_table_gf(2000).values
+
+
+def test_partition_values_match_sympy():
+    # a third route: sympy's Hardy-Ramanujan-Rademacher evaluation
+    numbers = pytest.importorskip("sympy.functions.combinatorial.numbers")
+    limit = 5000
+    pentagonal = partition_table_pentagonal(limit)
+    gf = partition_table_gf(limit)
+    for n in (0, 1, 2, 100, 1000, 2500, 4999, 5000):
+        expected = int(numbers.partition(n))
+        assert pentagonal.value(n) == expected, n
+        assert gf.value(n) == expected, n
 
 
 def test_strictly_increasing():

@@ -1,6 +1,9 @@
+import inspect
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from series_reference import inplace_pochhammer, schoolbook_mul, schoolbook_reciprocal
 
 from mobius_partitions.arith import build_sieve, mobius, totient
 from mobius_partitions.partitions import enumerate_partitions
@@ -14,6 +17,37 @@ from mobius_partitions.series import (
 small_series = st.lists(
     st.integers(min_value=-9, max_value=9), min_size=1, max_size=9
 ).map(lambda c: TruncatedSeries(c, 8))
+
+# Magnitudes at and next to whole-byte boundaries, where a Kronecker slot
+# that is one byte too narrow would first overflow.
+_BOUNDARY = [2 ** (8 * j) + d for j in range(1, 33) for d in (-1, 0, 1)]
+_coefficient = st.one_of(
+    st.just(0),
+    st.integers(min_value=-(2**256), max_value=2**256),
+    st.sampled_from(_BOUNDARY + [-v for v in _BOUNDARY]),
+)
+
+
+@st.composite
+def series_pairs(draw):
+    """Two series of one order in 0..80: random, all zero, a monomial, or
+    one coefficient repeated (the largest possible product coefficients)."""
+    order = draw(st.integers(min_value=0, max_value=80))
+
+    def one():
+        kind = draw(st.sampled_from(["random", "zero", "monomial", "constant"]))
+        if kind == "zero":
+            return TruncatedSeries.zero(order)
+        if kind == "monomial":
+            power = draw(st.integers(min_value=0, max_value=order))
+            return TruncatedSeries.monomial(power, order, draw(_coefficient))
+        if kind == "constant":
+            return TruncatedSeries([draw(_coefficient)] * (order + 1), order)
+        return TruncatedSeries(
+            draw(st.lists(_coefficient, min_size=order + 1, max_size=order + 1)), order
+        )
+
+    return one(), one()
 
 
 def test_constructor_pads_and_validates():
@@ -68,6 +102,23 @@ def test_mul_associative(a, b, c):
     assert (a * b) * c == a * (b * c)
 
 
+@settings(max_examples=200, deadline=None)
+@given(series_pairs())
+def test_mul_matches_schoolbook(pair):
+    a, b = pair
+    assert (a * b).coeffs == schoolbook_mul(a.coeffs, b.coeffs)
+
+
+@pytest.mark.parametrize("sign_a, sign_b", [(1, 1), (1, -1), (-1, -1)])
+@pytest.mark.parametrize("bits", [7, 8, 9, 63, 64, 256])
+def test_mul_full_slots(bits, sign_a, sign_b):
+    # every product coefficient at its largest magnitude, n * (2^bits - 1)^2
+    n = 80
+    a = TruncatedSeries([sign_a * (2**bits - 1)] * (n + 1), n)
+    b = TruncatedSeries([sign_b * (2**bits - 1)] * (n + 1), n)
+    assert (a * b).coeffs == schoolbook_mul(a.coeffs, b.coeffs)
+
+
 def test_pochhammer_empty_product():
     assert pochhammer(1, 0, 5).coeffs == (1, 0, 0, 0, 0, 0)
 
@@ -83,6 +134,26 @@ def test_pochhammer_infinite_matches_long_finite():
     # omitted factors are 1 mod q^(N+1)
     for r in (1, 2, 3):
         assert pochhammer(r, None, 30) == pochhammer(r, 40, 30)
+
+
+@pytest.mark.parametrize("start", range(1, 11))
+def test_pochhammer_matches_inplace_product(start):
+    for factors in [None, *range(13)]:
+        for order in (0, 1, 2, 7, 31, 32, 33, 80):
+            assert pochhammer(start, factors, order).coeffs == inplace_pochhammer(
+                start, factors, order
+            ), (start, factors, order)
+
+
+def test_pochhammer_long_product_matches_inplace():
+    # past the base case of the online convolution, both factor counts
+    assert pochhammer(1, None, 400).coeffs == inplace_pochhammer(1, None, 400)
+    assert pochhammer(3, 60, 400).coeffs == inplace_pochhammer(3, 60, 400)
+
+
+def test_pochhammer_start_beyond_order_is_one():
+    for factors in (None, 0, 5):
+        assert pochhammer(9, factors, 4) == TruncatedSeries.one(4)
 
 
 def test_pochhammer_rejects_zero_start():
@@ -115,6 +186,20 @@ def test_reciprocal_gives_partition_counts():
 def test_reciprocal_roundtrip(a, unit):
     a = TruncatedSeries((unit,) + a.coeffs[1:], a.order)
     assert (a * reciprocal(a)).coeffs == (1,) + (0,) * a.order
+
+
+@settings(max_examples=100, deadline=None)
+@given(series_pairs(), st.sampled_from([1, -1]))
+def test_reciprocal_matches_schoolbook(pair, unit):
+    a = pair[0]
+    a = TruncatedSeries((unit,) + a.coeffs[1:], a.order)
+    assert reciprocal(a).coeffs == schoolbook_reciprocal(a.coeffs)
+
+
+def test_kernel_signatures_are_fixed():
+    # the benchmark's tracer reads these arguments by name
+    assert list(inspect.signature(pochhammer).parameters) == ["start", "factors", "order"]
+    assert list(inspect.signature(reciprocal).parameters) == ["a"]
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4, 5, 6])
