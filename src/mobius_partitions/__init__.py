@@ -4,7 +4,6 @@ mechanical verification of the identities relating them."""
 from mobius_partitions.arith import MultiplicativeTable, build_sieve, mobius, mobius_scaled, totient
 from mobius_partitions.series import TruncatedSeries, lambert_sum, pochhammer, reciprocal
 from mobius_partitions.partitions import (
-    Partition,
     PartitionTable,
     SrTable,
     backward_difference,
@@ -44,7 +43,6 @@ __all__ = [
     "lambert_sum",
     "pochhammer",
     "reciprocal",
-    "Partition",
     "PartitionTable",
     "SrTable",
     "backward_difference",

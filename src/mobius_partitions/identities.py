@@ -16,6 +16,7 @@ from mobius_partitions.arith import MultiplicativeTable, build_sieve, mobius, mo
 from mobius_partitions.partitions import (
     ENUMERATION_CAP,
     backward_difference,
+    check_enumeration_size,
     count_restricted,
     enumerate_partitions,
     partition_table_pentagonal,
@@ -186,19 +187,19 @@ def verify_theorem2(nmax: int, rmax: int, cap: int = DEFAULT_COUNTEREXAMPLE_CAP)
 
 def verify_weighted_corollary(nmax: int, r: int, cap: int = DEFAULT_COUNTEREXAMPLE_CAP) -> VerificationReport:
     """p(n-r) = (-1)^(r-1) * sum over partitions of n with parts >= r of
-    sum_k mu(k) * multiplicity(k), checked by full enumeration."""
+    sum_k mu(k) * multiplicity(k), checked by full enumeration
+    (nmax <= ENUMERATION_CAP)."""
     if r not in (1, 2):
         raise ValueError(f"r must be 1 or 2, got {r}")
+    check_enumeration_size(nmax)
     report = VerificationReport("weighted", {"nmax": nmax, "r": r}, cap=cap)
     sieve = build_sieve(max(nmax, 1))
     p = partition_table_pentagonal(nmax)
     sign = (-1) ** (r - 1)
     for n in range(nmax + 1):
         total = 0
-        for part in enumerate_partitions(n, r):
-            total += sum(
-                mobius(sieve, k) * part.multiplicity(k) for k in set(part.parts)
-            )
+        for parts in enumerate_partitions(n, r):
+            total += sum(mobius(sieve, k) for k in parts)
         report.record(n, p.value(n - r), sign * total)
     return report
 
@@ -216,20 +217,15 @@ _COROLLARY_SPECS = {
 }
 
 
-def verify_corollary(
-    which: int,
-    nmax: int,
-    cap: int = DEFAULT_COUNTEREXAMPLE_CAP,
-    oracle_cap: int = ENUMERATION_CAP,
-) -> VerificationReport:
+def verify_corollary(which: int, nmax: int, cap: int = DEFAULT_COUNTEREXAMPLE_CAP) -> VerificationReport:
     """Three-way check of the combinatorial corollaries.
 
     which=2: partitions with no 1's, nabla p(n)          vs -sum S^(3)_{n+3,k} mu(k)
     which=3: + largest part repeated, nabla^2 p(n)       vs -sum S^(4)_{n+5,k} mu(k)
     which=4: + at most one 2, nabla^2 p(n)-nabla^2 p(n-4) vs -sum S^(5)_{n+5,k} mu(k)
 
-    The enumeration leg is only checked for n <= oracle_cap; the difference
-    and Mobius legs cover the full range.
+    The enumeration leg is only checked for n <= ENUMERATION_CAP; the
+    difference and Mobius legs cover the full range.
     """
     if which not in _COROLLARY_SPECS:
         raise ValueError(f"which must be 2, 3 or 4, got {which}")
@@ -242,7 +238,7 @@ def verify_corollary(
     for n in range(spec["nmin"], nmax + 1):
         diff = spec["diff"](p, n)
         report.record(n, diff, -msum.coefficient(n + offset))
-        if n <= oracle_cap:
+        if n <= ENUMERATION_CAP:
             report.record(n, diff, count_restricted(n, spec["predicate"]))
     return report
 
@@ -368,7 +364,9 @@ def verify_lambert(nmax: int, cap: int = DEFAULT_COUNTEREXAMPLE_CAP) -> Verifica
 
 
 def verify_sr_oracle(nmax: int, rmax: int, cap: int = DEFAULT_COUNTEREXAMPLE_CAP) -> VerificationReport:
-    """Generating-function S-tables against the enumeration oracle."""
+    """Generating-function S-tables against the enumeration oracle
+    (nmax <= ENUMERATION_CAP)."""
+    check_enumeration_size(nmax)
     report = VerificationReport("oracle-sr", {"nmax": nmax, "rmax": rmax}, cap=cap)
     for r in range(1, rmax + 1):
         fast = sr_table_gf(r, nmax)

@@ -20,13 +20,6 @@ from mobius_partitions.series import TruncatedSeries, lambert_sum, pochhammer, r
 # Full enumeration stays sub-second up to about here (p(45) ~ 89k partitions).
 ENUMERATION_CAP = 45
 
-PREDICATES = (
-    "no-ones",
-    "no-ones-and-largest-repeated",
-    "no-ones-at-most-one-two-largest-repeated",
-    "min-part-at-least-r",
-)
-
 
 @dataclass(frozen=True)
 class PartitionTable:
@@ -41,32 +34,6 @@ class PartitionTable:
         if n > self.limit:
             raise IndexError(f"n={n} exceeds table limit {self.limit}")
         return self.values[n]
-
-
-@dataclass(frozen=True)
-class Partition:
-    """A partition as a non-increasing tuple of positive parts."""
-
-    parts: tuple
-
-    @property
-    def n(self) -> int:
-        return sum(self.parts)
-
-    def multiplicity(self, k: int) -> int:
-        return self.parts.count(k)
-
-    @property
-    def smallest(self) -> int:
-        return self.parts[-1]
-
-    @property
-    def largest(self) -> int:
-        return self.parts[0]
-
-    @property
-    def largest_multiplicity(self) -> int:
-        return self.parts.count(self.parts[0])
 
 
 def partition_table_pentagonal(limit: int) -> PartitionTable:
@@ -102,30 +69,46 @@ def partition_table_gf(limit: int) -> PartitionTable:
     return PartitionTable(limit, inv.coeffs)
 
 
-def enumerate_partitions(n: int, min_part: int = 1) -> Iterator[Partition]:
+def enumerate_partitions(n: int, min_part: int = 1) -> Iterator[list]:
     """All partitions of n with every part >= min_part, each exactly once.
 
-    Order is descending lexicographic on the part sequences, e.g. for n=6,
-    min_part=2: (6), (4,2), (3,3), (2,2,2).  n = 0 yields the empty
-    partition.
+    Each is a fresh non-decreasing list, smallest part first, and the lists
+    come in ascending lexicographic order, e.g. for n=6, min_part=2:
+    [2, 2, 2], [2, 4], [3, 3], [6].  n = 0 yields the empty partition.
+
+    This is AccelAsc, the ascending-composition generator of Kelleher and
+    O'Sullivan ("Generating All Partitions: A Comparison of Two Encodings",
+    arXiv:0909.2331), started from min_part - 1 in place of 0.  a[:k] is
+    the fixed prefix, x the next part and y what is left after it.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     if min_part < 1:
         raise ValueError(f"min_part must be >= 1, got {min_part}")
-
-    def gen(remaining, max_part, prefix):
-        if remaining == 0:
-            yield Partition(tuple(prefix))
-            return
-        for part in range(min(remaining, max_part), min_part - 1, -1):
-            rest = remaining - part
-            if rest == 0 or rest >= min_part:
-                prefix.append(part)
-                yield from gen(rest, part, prefix)
-                prefix.pop()
-
-    yield from gen(n, n, [])
+    if n < min_part:
+        if n == 0:
+            yield []
+        return
+    a = [0] * (n + 1)
+    a[0] = min_part - 1
+    k = 1
+    y = n - min_part
+    while k:
+        x = a[k - 1] + 1
+        k -= 1
+        while 2 * x <= y:
+            a[k] = x
+            y -= x
+            k += 1
+        while x <= y:
+            a[k] = x
+            a[k + 1] = y
+            yield a[: k + 2]
+            x += 1
+            y -= 1
+        a[k] = x + y
+        y = x + y - 1
+        yield a[: k + 1]
 
 
 class SrTable:
@@ -153,14 +136,15 @@ class SrTable:
 
 
 def sr_table_enum(r: int, limit: int) -> SrTable:
-    """S^(r) by scanning partitions; the brute-force oracle (limit <= ~45)."""
+    """S^(r) by scanning partitions; the brute-force oracle (limit <= ENUMERATION_CAP)."""
     _check_sr_args(r, limit)
+    check_enumeration_size(limit)
     rows = [[0] * (limit + 1) for _ in range(limit + 1)]
     for n in range(r, limit + 1):
         row = rows[n]
-        for part in enumerate_partitions(n, r):
-            for k in set(part.parts):
-                row[k] += part.multiplicity(k)
+        for parts in enumerate_partitions(n, r):
+            for k in parts:
+                row[k] += 1
     return SrTable(r, limit, rows)
 
 
@@ -189,6 +173,13 @@ def weighted_sr_series(r: int, f: Callable[[int], int], order: int) -> Truncated
     return reciprocal(pochhammer(r, None, order)) * lam
 
 
+def check_enumeration_size(n: int) -> None:
+    """Refuse, before any work, to enumerate the partitions of more than
+    ENUMERATION_CAP (p(100) is already about 1.9e8)."""
+    if n > ENUMERATION_CAP:
+        raise ValueError(f"enumeration is capped at n <= {ENUMERATION_CAP}, got {n}")
+
+
 def _check_sr_args(r: int, limit: int) -> None:
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
@@ -205,30 +196,36 @@ def backward_difference(table: PartitionTable, order: int, n: int) -> int:
     return sum((-1) ** k * comb(order, k) * table.value(n - k) for k in range(order + 1))
 
 
+def _largest_repeated(a: list) -> bool:
+    return len(a) > 1 and a[-1] == a[-2]
+
+
+# predicate name -> (smallest part it fixes, or None if min_part sets it;
+# test on the ascending part list)
+_RESTRICTIONS = {
+    "no-ones": (2, lambda a: True),
+    "no-ones-and-largest-repeated": (2, _largest_repeated),
+    # at most one 2: with parts >= 2 in ascending order, a second 2 sits at a[1]
+    "no-ones-at-most-one-two-largest-repeated": (
+        2, lambda a: a[1:2] != [2] and _largest_repeated(a)),
+    "min-part-at-least-r": (None, lambda a: True),
+}
+PREDICATES = tuple(_RESTRICTIONS)
+
+
 def count_restricted(n: int, predicate: str, min_part: int | None = None) -> int:
     """Count partitions of n satisfying a named predicate, by enumeration.
 
     Predicates: "no-ones"; "no-ones-and-largest-repeated";
     "no-ones-at-most-one-two-largest-repeated"; "min-part-at-least-r"
-    (takes the bound through min_part).
+    (takes the bound through min_part).  The first three fix the smallest
+    part at 2 and refuse min_part.
     """
-    if predicate not in PREDICATES:
+    if predicate not in _RESTRICTIONS:
         raise ValueError(f"unknown predicate {predicate!r}")
-    if predicate == "min-part-at-least-r":
-        if min_part is None:
-            raise ValueError("min-part-at-least-r needs min_part")
-        return sum(1 for _ in enumerate_partitions(n, min_part))
-    if predicate == "no-ones":
-        return sum(1 for _ in enumerate_partitions(n, 2))
-    if predicate == "no-ones-and-largest-repeated":
-        return sum(
-            1
-            for p in enumerate_partitions(n, 2)
-            if p.parts and p.largest_multiplicity > 1
-        )
-    # no parts equal to 1, at most one 2, largest part repeated
-    return sum(
-        1
-        for p in enumerate_partitions(n, 2)
-        if p.parts and p.multiplicity(2) <= 1 and p.largest_multiplicity > 1
-    )
+    fixed_min, test = _RESTRICTIONS[predicate]
+    if fixed_min is None and min_part is None:
+        raise ValueError(f"{predicate} needs min_part")
+    if fixed_min is not None and min_part is not None:
+        raise ValueError(f"{predicate} fixes its smallest part; min_part must not be given")
+    return sum(map(test, enumerate_partitions(n, fixed_min if min_part is None else min_part)))

@@ -164,6 +164,19 @@ def test_ignored_flag_is_usage_error(capsys, argv, flag):
     assert err.startswith("error:") and flag in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["oracle-sr", "--nmax", "100", "--rmax", "2"],
+        ["weighted", "--r", "1", "--nmax", "100"],
+    ],
+)
+def test_verify_oversized_enumeration_is_refused(capsys, argv):
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "capped" in err
+
+
 def test_verify_bad_alpha(capsys):
     code, _, err = run(capsys, "verify", "prime-alpha", "--alpha", "6", "--nmax", "5")
     assert code == 2

@@ -117,6 +117,8 @@ def test_weighted_corollary():
         assert rep.passed, rep.summary()
     with pytest.raises(ValueError):
         verify_weighted_corollary(10, 5)
+    with pytest.raises(ValueError, match="capped"):
+        verify_weighted_corollary(46, 1)
 
 
 def test_corollaries():
@@ -179,6 +181,9 @@ def test_lemma1_gf_and_enum():
     assert verify_lemma1(25, 3, "enum").passed
     with pytest.raises(ValueError):
         verify_lemma1(10, 2, "magic")
+    # the enum route builds tables to nmax + rmax; c07's 40 + 5 is the cap
+    with pytest.raises(ValueError, match="capped"):
+        verify_lemma1(45, 1, "enum")
 
 
 def test_lemma1_hand_case():
@@ -192,8 +197,16 @@ def test_lambert_identity():
     assert verify_lambert(300).passed
 
 
-def test_sr_oracle():
+def test_sr_oracle(monkeypatch):
     assert verify_sr_oracle(30, 5).passed
+
+    # an oversized run is refused before any table is built
+    def refuse(r, limit):
+        raise AssertionError("table built before the size check")
+
+    monkeypatch.setattr(identities, "sr_table_gf", refuse)
+    with pytest.raises(ValueError, match="capped"):
+        verify_sr_oracle(46, 1)
 
 
 def test_weighted_sweeps_build_no_dense_table(monkeypatch):

@@ -1,8 +1,10 @@
+import inspect
+
 import pytest
 
 from mobius_partitions.arith import build_sieve, mobius, totient
 from mobius_partitions.partitions import (
-    Partition,
+    ENUMERATION_CAP,
     backward_difference,
     count_restricted,
     enumerate_partitions,
@@ -15,7 +17,20 @@ from mobius_partitions.partitions import (
 
 
 def parts_of(n, min_part=1):
-    return [p.parts for p in enumerate_partitions(n, min_part)]
+    return list(enumerate_partitions(n, min_part))
+
+
+def reference_partitions(n, min_part=1, max_part=None):
+    """Partitions of n as non-increasing tuples, by plain recursion on the
+    largest part; the reference the ascending generator is checked against."""
+    if n == 0:
+        return [()]
+    top = n if max_part is None else min(n, max_part)
+    return [
+        (part,) + rest
+        for part in range(top, min_part - 1, -1)
+        for rest in reference_partitions(n - part, min_part, part)
+    ]
 
 
 def test_partition_values():
@@ -64,43 +79,58 @@ def test_strictly_increasing():
 
 def test_enumerate_empty_partition():
     for mp in (1, 2, 7):
-        assert parts_of(0, mp) == [()]
+        assert parts_of(0, mp) == [[]]
 
 
 def test_enumerate_order_and_content():
-    assert parts_of(4) == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
-    assert parts_of(6, 2) == [(6,), (4, 2), (3, 3), (2, 2, 2)]
+    assert parts_of(4) == [[1, 1, 1, 1], [1, 1, 2], [1, 3], [2, 2], [4]]
+    assert parts_of(6, 2) == [[2, 2, 2], [2, 4], [3, 3], [6]]
     assert parts_of(17, 5) == [
-        (17,),
-        (12, 5),
-        (11, 6),
-        (10, 7),
-        (9, 8),
-        (7, 5, 5),
-        (6, 6, 5),
+        [5, 5, 7],
+        [5, 6, 6],
+        [5, 12],
+        [6, 11],
+        [7, 10],
+        [8, 9],
+        [17],
     ]
 
 
 def test_enumerate_uniqueness_and_constraints():
-    for n in range(12):
-        for mp in (1, 2, 3):
+    for n in range(31):
+        for mp in range(1, 9):
             seen = parts_of(n, mp)
-            assert len(seen) == len(set(seen))
+            if 0 < n < mp:
+                assert seen == []
+            assert len(set(map(tuple, seen))) == len(seen)
             for parts in seen:
                 assert sum(parts) == n
-                assert all(parts[i] >= parts[i + 1] for i in range(len(parts) - 1))
+                assert all(parts[i] <= parts[i + 1] for i in range(len(parts) - 1))
                 assert all(p >= mp for p in parts)
-            # descending lexicographic
-            assert seen == sorted(seen, reverse=True)
+            # ascending lexicographic
+            assert seen == sorted(seen)
 
 
-def test_partition_accessors():
-    p = Partition((5, 4, 4))
-    assert p.n == 13
-    assert p.multiplicity(4) == 2
-    assert p.smallest == 4
-    assert p.largest == 5
-    assert Partition((3, 3, 2)).largest_multiplicity == 2
+def test_enumerate_matches_recursive_reference():
+    for n in range(23):
+        for mp in (1, 2, 3, 5):
+            got = sorted(tuple(sorted(parts, reverse=True)) for parts in parts_of(n, mp))
+            assert got == sorted(reference_partitions(n, mp)), (n, mp)
+
+
+def test_enumerate_yields_fresh_lists():
+    seen = parts_of(7)
+    seen[0].append(99)
+    assert all(99 not in parts for parts in seen[1:])
+    assert len(seen) == 15
+
+
+def test_tracer_reads_these_signatures():
+    # the benchmark tracer wraps these by name and binds their arguments
+    assert inspect.isgeneratorfunction(enumerate_partitions)
+    assert list(inspect.signature(enumerate_partitions).parameters) == ["n", "min_part"]
+    for fn in (sr_table_enum, sr_table_gf):
+        assert list(inspect.signature(fn).parameters) == ["r", "limit"]
 
 
 def test_sr_enum_known_rows():
@@ -171,6 +201,8 @@ def test_sr_bad_args():
         sr_table_gf(0, 5)
     with pytest.raises(ValueError):
         sr_table_enum(4, 3)
+    with pytest.raises(ValueError, match="capped"):
+        sr_table_enum(1, ENUMERATION_CAP + 1)
     with pytest.raises(ValueError):
         weighted_sr_series(4, int, 3)
 
@@ -196,18 +228,14 @@ def test_count_restricted_known_values():
 
 
 def test_count_restricted_witnesses():
-    wit = [
-        p.parts
-        for p in enumerate_partitions(8, 2)
-        if p.largest_multiplicity > 1
-    ]
-    assert wit == [(4, 4), (3, 3, 2), (2, 2, 2, 2)]
+    wit = [a for a in enumerate_partitions(8, 2) if len(a) > 1 and a[-1] == a[-2]]
+    assert wit == [[2, 2, 2, 2], [2, 3, 3], [4, 4]]
     wit12 = [
-        p.parts
-        for p in enumerate_partitions(12, 2)
-        if p.multiplicity(2) <= 1 and p.largest_multiplicity > 1
+        a
+        for a in enumerate_partitions(12, 2)
+        if sum(k == 2 for k in a) <= 1 and len(a) > 1 and a[-1] == a[-2]
     ]
-    assert wit12 == [(6, 6), (5, 5, 2), (4, 4, 4), (3, 3, 3, 3)]
+    assert wit12 == [[2, 5, 5], [3, 3, 3, 3], [4, 4, 4], [6, 6]]
 
 
 def test_count_restricted_vs_differences():
@@ -228,9 +256,7 @@ def test_conjugation_symmetry():
     # no part equal to 1  <->  largest part repeated, via conjugation
     for n in range(1, 46):
         largest_repeated = sum(
-            1
-            for p in enumerate_partitions(n)
-            if p.largest_multiplicity > 1
+            1 for a in enumerate_partitions(n) if len(a) > 1 and a[-1] == a[-2]
         )
         assert count_restricted(n, "no-ones") == largest_repeated
 
@@ -248,3 +274,11 @@ def test_count_restricted_unknown_predicate():
         count_restricted(5, "palindromic")
     with pytest.raises(ValueError):
         count_restricted(5, "min-part-at-least-r")
+    # the other predicates fix the smallest part at 2 and refuse min_part
+    for predicate in (
+        "no-ones",
+        "no-ones-and-largest-repeated",
+        "no-ones-at-most-one-two-largest-repeated",
+    ):
+        with pytest.raises(ValueError, match="min_part"):
+            count_restricted(6, predicate, min_part=5)
