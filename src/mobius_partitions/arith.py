@@ -1,11 +1,13 @@
 """Sieved arithmetic functions: Mobius mu, Euler's totient phi, smallest
 prime factors.
 
-A single linear sieve fills all three arrays up to a fixed limit; the
-resulting table is immutable and safe to share between threads.
+One sieve fills all three arrays up to a fixed limit; the resulting table
+is immutable and safe to share between threads.
 """
 
 from dataclasses import dataclass, field
+from itertools import repeat
+from math import isqrt
 
 
 @dataclass(frozen=True)
@@ -31,43 +33,60 @@ class MultiplicativeTable:
 
 
 def build_sieve(limit: int) -> MultiplicativeTable:
-    """Build mu, phi and spf for 1..limit with a linear sieve."""
+    """Build mu, phi and spf for 1..limit.
+
+    An Eratosthenes bytearray finds the primes up to sqrt(limit); each writes
+    itself into every multiple's spf slot, largest prime first, so the
+    smallest prime factor is written last.  Slots left at 0 are primes.  One
+    pass then reads mu and phi off n/p, p = spf(n).
+    """
     if limit < 1:
         raise ValueError(f"sieve limit must be >= 1, got {limit}")
+    root = isqrt(limit)
+    composite = bytearray(root + 1)
+    primes = []
+    for p in range(2, root + 1):
+        if not composite[p]:
+            primes.append(p)
+            composite[p * p :: p] = b"\x01" * len(range(p * p, root + 1, p))
+    spf = [0] * (limit + 1)
+    spf[1] = 1
+    for p in reversed(primes):
+        spf[p::p] = repeat(p, limit // p)
     mu = [0] * (limit + 1)
     phi = [0] * (limit + 1)
-    spf = [0] * (limit + 1)
-    mu[1] = phi[1] = spf[1] = 1
-    primes = []
+    mu[1] = phi[1] = 1
     for n in range(2, limit + 1):
-        if spf[n] == 0:
+        p = spf[n]
+        if not p:
             spf[n] = n
             mu[n] = -1
             phi[n] = n - 1
-            primes.append(n)
-        for p in primes:
-            if p > spf[n] or n * p > limit:
-                break
-            m = n * p
-            spf[m] = p
-            if n % p == 0:
-                mu[m] = 0
-                phi[m] = phi[n] * p
-                break
-            mu[m] = -mu[n]
-            phi[m] = phi[n] * (p - 1)
-    return MultiplicativeTable(limit, tuple(mu), tuple(phi), tuple(spf))
+            continue
+        m = n // p
+        if m % p:
+            mu[n] = -mu[m]
+            phi[n] = phi[m] * (p - 1)
+        else:  # p^2 divides n, so mu(n) stays 0
+            phi[n] = phi[m] * p
+    # one list at a time becomes a tuple, so at most one extra copy is alive
+    mu = tuple(mu)
+    phi = tuple(phi)
+    spf = tuple(spf)
+    return MultiplicativeTable(limit, mu, phi, spf)
 
 
 def mobius(table: MultiplicativeTable, k: int) -> int:
     """mu(k); raises IndexError for k outside 1..limit (mu(0) is undefined)."""
-    table._check_range(k)
+    if not 1 <= k <= table.limit:
+        raise IndexError(f"k={k} outside sieved range 1..{table.limit}")
     return table.mu[k]
 
 
 def totient(table: MultiplicativeTable, k: int) -> int:
     """phi(k); raises IndexError outside the sieved range."""
-    table._check_range(k)
+    if not 1 <= k <= table.limit:
+        raise IndexError(f"k={k} outside sieved range 1..{table.limit}")
     return table.phi[k]
 
 

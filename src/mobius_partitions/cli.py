@@ -222,6 +222,12 @@ def cmd_verify(args) -> int:
         return EXIT_USAGE
     if _refuse_ignored_flags(args, f"verify {args.identity}", VERIFY_FLAGS[args.identity]):
         return EXIT_USAGE
+    if args.max_counterexamples < 0:
+        print(
+            f"error: --max-counterexamples must be >= 0, got {args.max_counterexamples}",
+            file=sys.stderr,
+        )
+        return EXIT_USAGE
     report = _run_verifier(args)
     if report.checked == 0:
         print(f"error: {report.identity} {report.params} checks nothing", file=sys.stderr)

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import chain, islice, repeat
+from operator import add, eq, mul, sub
 
 from mobius_partitions.arith import MultiplicativeTable, build_sieve, mobius, mobius_scaled, totient
 from mobius_partitions.partitions import (
@@ -23,8 +25,9 @@ from mobius_partitions.partitions import (
     sr_table_enum,
     sr_table_gf,
     weighted_sr_series,
+    _min_part_gf,
 )
-from mobius_partitions.series import TruncatedSeries, lambert_sum
+from mobius_partitions.series import lambert_sum
 
 DEFAULT_COUNTEREXAMPLE_CAP = 10
 
@@ -32,10 +35,6 @@ DEFAULT_COUNTEREXAMPLE_CAP = 10
 # a generous index range and entries past this width are asserted zero.
 def _a_support(r: int) -> int:
     return (r - 1) * (r - 2) // 2 + 1
-
-
-def _b_width(r: int) -> int:
-    return r * (r - 1) // 2 + 1
 
 
 @dataclass
@@ -61,6 +60,10 @@ class VerificationReport:
     counterexamples: list = field(default_factory=list)
     cap: int = DEFAULT_COUNTEREXAMPLE_CAP
 
+    def __post_init__(self):
+        if self.cap < 0:
+            raise ValueError(f"counterexample cap must be >= 0, got {self.cap}")
+
     @property
     def passed(self) -> bool:
         return self.failures == 0
@@ -73,6 +76,18 @@ class VerificationReport:
             if len(self.counterexamples) < self.cap:
                 index = index if isinstance(index, tuple) else (index,)
                 self.counterexamples.append(Counterexample(index, lhs, rhs))
+
+    def record_all(self, index, lhs, rhs) -> None:
+        """Count one check per position i of two equal-length rows, named
+        index(i); the same bookkeeping as record at every position, with
+        one C-level pass over rows that agree."""
+        if len(lhs) != len(rhs):
+            raise ValueError(f"rows of unequal length: {len(lhs)} != {len(rhs)}")
+        if all(map(eq, lhs, rhs)):
+            self.checked += len(lhs)
+            return
+        for i, (left, right) in enumerate(zip(lhs, rhs)):
+            self.record(index(i), left, right)
 
     def to_dict(self) -> dict:
         return {
@@ -103,13 +118,10 @@ def build_b(rmax: int) -> list:
     rows = [[1]]
     for r in range(1, rmax):
         prev = rows[-1]
-        width = _b_width(r + 1)
-        row = []
-        for j in range(width):
-            v = prev[j] if j < len(prev) else 0
-            if j >= r:
-                v -= prev[j - r] if j - r < len(prev) else 0
-            row.append(v)
+        # prev has r(r-1)/2 + 1 >= r entries; the new row is r entries longer,
+        # extended in place so that no full-length temporary is made
+        row = prev[:r]
+        row += map(sub, chain(islice(prev, r, None), repeat(0, r)), prev)
         rows.append(row)
     return rows
 
@@ -179,9 +191,12 @@ def verify_theorem2(nmax: int, rmax: int, cap: int = DEFAULT_COUNTEREXAMPLE_CAP)
     for r in range(1, rmax + 1):
         lhs = weighted_sr_series(r, partial(mobius, sieve), nmax + r)
         a_row = a_rows[r - 1]
-        for n in range(nmax + 1):
-            rhs = sum(c * p.value(n - j) for j, c in enumerate(a_row))
-            report.record((r, n), lhs.coefficient(n + r), rhs)
+        # window n of p holds p(n-w+1) .. p(n), w = len(a_row), p(< 0) = 0
+        width = len(a_row)
+        padded = [0] * (width - 1) + list(p.values)
+        rev = a_row[::-1]
+        rhs = [sum(map(mul, rev, padded[n : n + width])) for n in range(nmax + 1)]
+        report.record_all(lambda n: (r, n), lhs.coeffs[r : nmax + r + 1], rhs)
     return report
 
 
@@ -249,9 +264,11 @@ def verify_phi_identities(nmax: int, cap: int = DEFAULT_COUNTEREXAMPLE_CAP) -> V
     report = VerificationReport("phi", {"nmax": nmax}, cap=cap)
     sieve = build_sieve(nmax + 2)
     phi = partial(totient, sieve)
-    s1_phi = weighted_sr_series(1, phi, nmax + 1)
+    # r = 1 needs no cut of the Lambert sums at k >= r, and both share 1/(q;q)_inf
+    inv = _min_part_gf(1, nmax + 1)
+    s1_phi = inv * lambert_sum(phi, nmax + 1)
     s2_phi = weighted_sr_series(2, phi, nmax + 2)
-    s1_ones = weighted_sr_series(1, lambda k: int(k == 1), nmax + 1)
+    s1_ones = inv * lambert_sum(lambda k: int(k == 1), nmax + 1)
     p = partition_table_pentagonal(nmax)
     # Running sums: rhs2(n) = rhs2(n-1) + p(n), and rhs1(n) = rhs1(n-1) + rhs2(n)
     # since sum_k (k+1) p(n-k) = sum_{j<=n} (n-j+1) p(j).
@@ -320,15 +337,12 @@ def verify_b_symmetry(rmax: int, cap: int = DEFAULT_COUNTEREXAMPLE_CAP) -> Verif
     rows = build_b(rmax)
     for r in range(2, rmax + 1):
         cur, prev = rows[r - 1], rows[r - 2]
-
-        def at(row, j):
-            return row[j] if 0 <= j < len(row) else 0
-
-        half = r * (r - 1) // 2
-        for j in range(len(cur)):
-            lhs = cur[j]
-            rhs = at(prev, j) - (-1) ** r * at(prev, half - j)
-            report.record((r, j), lhs, rhs)
+        # prev is r - 1 entries shorter than cur: j -> b_{r-1,j} and
+        # j -> b_{r-1,half-j}, both zero-padded to cur's r(r-1)/2 + 1 entries
+        at_j = chain(prev, repeat(0, r - 1))
+        at_half_minus_j = chain(repeat(0, r - 1), reversed(prev))
+        rhs = list(map(sub if r % 2 == 0 else add, at_j, at_half_minus_j))
+        report.record_all(lambda j: (r, j), cur, rhs)
     return report
 
 
@@ -356,10 +370,11 @@ def verify_lambert(nmax: int, cap: int = DEFAULT_COUNTEREXAMPLE_CAP) -> Verifica
     """The Lambert series sum_k mu(k) q^k/(1-q^k) collapses to q exactly."""
     report = VerificationReport("lambert", {"nmax": nmax}, cap=cap)
     sieve = build_sieve(max(nmax, 1))
-    series = lambert_sum(lambda k: mobius(sieve, k), nmax)
-    expected = TruncatedSeries.monomial(1, nmax) if nmax >= 1 else TruncatedSeries.zero(0)
-    for n in range(nmax + 1):
-        report.record(n, series.coefficient(n), expected.coefficient(n))
+    series = lambert_sum(partial(mobius, sieve), nmax)
+    expected = [0] * (nmax + 1)
+    if nmax >= 1:
+        expected[1] = 1
+    report.record_all(lambda n: n, series.coeffs, expected)
     return report
 
 

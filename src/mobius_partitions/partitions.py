@@ -65,8 +65,7 @@ def partition_table_gf(limit: int) -> PartitionTable:
     """p(0..limit) as the coefficients of 1/(q;q)_inf."""
     if limit < 0:
         raise ValueError(f"limit must be >= 0, got {limit}")
-    inv = reciprocal(pochhammer(1, None, limit))
-    return PartitionTable(limit, inv.coeffs)
+    return PartitionTable(limit, _min_part_gf(1, limit).coeffs)
 
 
 def enumerate_partitions(n: int, min_part: int = 1) -> Iterator[list]:
@@ -151,7 +150,7 @@ def sr_table_enum(r: int, limit: int) -> SrTable:
 def sr_table_gf(r: int, limit: int) -> SrTable:
     """S^(r) via coefficient extraction from q^k/(1-q^k) * 1/(q^r; q)_inf."""
     _check_sr_args(r, limit)
-    inv = reciprocal(pochhammer(r, None, limit)).coeffs
+    inv = _min_part_gf(r, limit).coeffs
     rows = [[0] * (limit + 1) for _ in range(limit + 1)]
     for k in range(r, limit + 1):
         for mk in range(k, limit + 1, k):
@@ -170,7 +169,13 @@ def weighted_sr_series(r: int, f: Callable[[int], int], order: int) -> Truncated
     """
     _check_sr_args(r, order)
     lam = lambert_sum(lambda k: f(k) if k >= r else 0, order)
-    return reciprocal(pochhammer(r, None, order)) * lam
+    return _min_part_gf(r, order) * lam
+
+
+def _min_part_gf(r: int, order: int) -> TruncatedSeries:
+    """1/(q^r; q)_inf, whose q^n coefficient counts the partitions of n
+    with every part >= r."""
+    return reciprocal(pochhammer(r, None, order))
 
 
 def check_enumeration_size(n: int) -> None:

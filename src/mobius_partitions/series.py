@@ -8,6 +8,9 @@ re-truncating, which would hide off-by-one errors in identity sweeps.
 
 from __future__ import annotations
 
+from itertools import repeat
+from math import isqrt
+from operator import add
 from typing import Callable, Iterable, Optional, Sequence
 
 
@@ -17,7 +20,7 @@ class TruncatedSeries:
     __slots__ = ("order", "coeffs")
 
     def __init__(self, coeffs: Iterable[int], order: Optional[int] = None):
-        coeffs = tuple(int(c) for c in coeffs)
+        coeffs = tuple(map(int, coeffs))
         if order is None:
             if not coeffs:
                 raise ValueError("empty coefficient list and no order given")
@@ -233,15 +236,43 @@ def lambert_sum(f: Callable[[int], int], order: int) -> TruncatedSeries:
     """Sum of f(k) q^k/(1-q^k) for k = 1..order, truncated.
 
     The coefficient of q^n is the divisor sum of f over the divisors of n,
-    since q^k/(1-q^k) contributes 1 at every positive multiple of k.
+    since q^k/(1-q^k) contributes 1 at every positive multiple of k.  f is
+    called once per k, giving the pair k = n.  Of every other divisor pair
+    k m = n (m >= 2), k <= s or k > s with s = isqrt(order): each k <= s adds
+    f(k) to 2k, 3k, ... in one slice update, and each cofactor m adds
+    f(s+1), f(s+2), ... to m(s+1), m(s+2), ... in one more, so about
+    2 sqrt(order) slice updates replace order * H(order) single adds.
     """
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
-    out = [0] * (order + 1)
-    for k in range(1, order + 1):
-        fk = f(k)
-        if fk == 0:
-            continue
-        for n in range(k, order + 1, k):
-            out[n] += fk
+    out = [0]
+    out += map(f, range(1, order + 1))
+    s = isqrt(order)
+    # f(k) for the k > s that some cofactor m >= 2 reaches, before any update
+    high = out[s + 1 : order // 2 + 1]
+    for m in range(2, order // (s + 1) + 1):
+        _add_at(out, m * (s + 1), m, order // m - s, iter(high))
+    del high
+    # Largest k first: the cofactor updates wrote only above 2s, and below
+    # that out[k] is written only by the smaller divisors of k, so it still
+    # holds f(k) when k is reached.
+    for k in range(s, 0, -1):
+        if out[k]:
+            _add_at(out, 2 * k, k, order // k - 1, repeat(out[k]))
     return TruncatedSeries(out, order)
+
+
+# Slice updates in lambert_sum run in pieces of at most this many terms, so
+# that their temporary lists stay small next to the full-length output.
+_SLICE_PIECE = 1 << 15
+
+
+def _add_at(out: list, start: int, step: int, count: int, values) -> None:
+    """out[start + i step] += the next item of the iterator values, i < count.
+
+    map pulls from values only after out[piece] has yielded, so values
+    advances by exactly count items over all pieces.
+    """
+    for lo in range(0, count, _SLICE_PIECE):
+        piece = slice(start + lo * step, start + min(count, lo + _SLICE_PIECE) * step, step)
+        out[piece] = map(add, out[piece], values)

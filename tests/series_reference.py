@@ -1,8 +1,8 @@
 """Schoolbook reference kernels for the series module, kept for the tests.
 
-These are the plain O(N^2) loops the fast kernels in
-`mobius_partitions.series` replaced.  They work on coefficient tuples so
-that they share no code with the module they check.
+These are the plain loops the fast kernels in `mobius_partitions.series`
+replaced.  They return coefficient tuples and share no code with the module
+they check.
 """
 
 
@@ -42,4 +42,16 @@ def inplace_pochhammer(start, factors, order):
         for j in range(order, m - 1, -1):
             out[j] -= out[j - m]
         k += 1
+    return tuple(out)
+
+
+def divisor_loop_lambert(f, order):
+    """sum_k f(k) q^k/(1-q^k) mod q^(order+1): f(k) added at every multiple of k."""
+    out = [0] * (order + 1)
+    for k in range(1, order + 1):
+        fk = f(k)
+        if fk == 0:
+            continue
+        for n in range(k, order + 1, k):
+            out[n] += fk
     return tuple(out)

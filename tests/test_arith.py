@@ -2,8 +2,9 @@ import math
 import random
 
 import pytest
+from arith_reference import linear_sieve
 
-from mobius_partitions.arith import build_sieve, mobius, mobius_scaled, totient
+from mobius_partitions.arith import MultiplicativeTable, build_sieve, mobius, mobius_scaled, totient
 
 
 def brute_mobius(n):
@@ -134,3 +135,9 @@ def test_mobius_scaled_errors():
         mobius_scaled(t, 4, 1)
     with pytest.raises(IndexError):
         mobius_scaled(t, 2, 26)
+
+
+@pytest.mark.parametrize("limits", [range(1, 601), [10**5]])
+def test_sieve_matches_linear_sieve(limits):
+    for limit in limits:
+        assert build_sieve(limit) == MultiplicativeTable(limit, *linear_sieve(limit)), limit

@@ -138,6 +138,15 @@ def test_verify_explicit_zero_is_not_replaced_by_default(capsys, argv):
     assert err.startswith("error:")
 
 
+def test_verify_negative_counterexample_cap_is_usage_error(capsys):
+    code, out, err = run(capsys, "verify", "lambert", "--nmax", "10", "--max-counterexamples", "-3")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "--max-counterexamples" in err
+    # an explicit 0 keeps no counterexamples but still runs the sweep
+    code, out, _ = run(capsys, "verify", "lambert", "--nmax", "10", "--max-counterexamples", "0")
+    assert code == 0 and out.startswith("PASS lambert")
+
+
 @pytest.mark.parametrize("argv", [["cor4", "--nmax", "3"], ["lemma1", "--nmax", "1"]])
 def test_verify_checking_nothing_is_usage_error(capsys, argv):
     code, out, err = run(capsys, "verify", *argv)

@@ -18,7 +18,7 @@ from mobius_partitions.identities import (
     verify_weighted_corollary,
 )
 from mobius_partitions.partitions import sr_table_enum
-from mobius_partitions.series import pochhammer
+from mobius_partitions.series import TruncatedSeries, pochhammer
 
 def test_build_b_matches_reference_rows(b_rows):
     assert build_b(6) == b_rows
@@ -245,3 +245,132 @@ def test_reports_deterministic():
     a = verify_theorem2(20, 4).to_dict()
     b = verify_theorem2(20, 4).to_dict()
     assert a == b
+
+
+def _per_element(identity, cap, rows):
+    """The report record makes from (index, lhs, rhs) triples one at a time."""
+    report = VerificationReport(identity, {}, cap=cap)
+    for index, lhs, rhs in rows:
+        report.record(index, lhs, rhs)
+    return report
+
+
+def _bookkeeping(report):
+    return report.checked, report.failures, report.counterexamples, report.cap
+
+
+@pytest.mark.parametrize("cap", [0, 1, 2, 10])
+def test_record_all_matches_record(cap):
+    lhs = [3, 1, 4, 1, 5, 9, 2, 6]
+    rhs = [3, 0, 4, 1, 7, 9, 2, 5]
+    report = VerificationReport("demo", {}, cap=cap)
+    report.record(0, 1, 1)
+    report.record_all(lambda i: (2, i), lhs, rhs)
+    triples = [((2, i), a, b) for i, (a, b) in enumerate(zip(lhs, rhs))]
+    expected = _per_element("demo", cap, [(0, 1, 1)] + triples)
+    assert _bookkeeping(report) == _bookkeeping(expected)
+    assert report.failures == 3 and len(report.counterexamples) == min(cap, 3)
+
+
+def test_record_all_rejects_unequal_rows():
+    report = VerificationReport("demo", {})
+    with pytest.raises(ValueError, match="unequal"):
+        report.record_all(lambda i: i, [1, 2, 3], [1, 2])
+    assert report.checked == 0
+
+
+def test_negative_cap_rejected():
+    with pytest.raises(ValueError, match="cap"):
+        VerificationReport("demo", {}, cap=-1)
+    assert VerificationReport("demo", {}, cap=0).cap == 0
+
+
+@pytest.mark.parametrize("cap", [0, 1, 10])
+def test_lambert_injected_error(monkeypatch, cap):
+    real = identities.lambert_sum
+
+    def broken(f, order):
+        coeffs = list(real(f, order).coeffs)
+        coeffs[7] += 1
+        return TruncatedSeries(coeffs, order)
+
+    monkeypatch.setattr(identities, "lambert_sum", broken)
+    report = verify_lambert(40, cap=cap)
+    expected = _per_element(
+        "lambert", cap, [(n, int(n in (1, 7)), int(n == 1)) for n in range(41)]
+    )
+    assert _bookkeeping(report) == _bookkeeping(expected)
+    assert report.failures == 1
+
+
+@pytest.mark.parametrize("cap", [0, 1, 10])
+def test_b_symmetry_injected_error(monkeypatch, cap):
+    real = identities.build_b
+
+    def broken(rmax):
+        rows = real(rmax)
+        rows[5][4] += 1  # b_{6,4}, read as the lhs at r = 6 and as prev at r = 7
+        return rows
+
+    monkeypatch.setattr(identities, "build_b", broken)
+    def at(row, j):
+        return row[j] if 0 <= j < len(row) else 0
+
+    rows = broken(8)
+    triples = []
+    for r in range(2, 9):
+        cur, prev = rows[r - 1], rows[r - 2]
+        half = r * (r - 1) // 2
+        for j in range(len(cur)):
+            triples.append(((r, j), cur[j], at(prev, j) - (-1) ** r * at(prev, half - j)))
+    report = verify_b_symmetry(8, cap=cap)
+    assert _bookkeeping(report) == _bookkeeping(_per_element("b-symmetry", cap, triples))
+    assert report.failures == 3
+    assert [c.index for c in _per_element("b-symmetry", 10, triples).counterexamples] == [
+        (6, 4), (7, 4), (7, 17)
+    ]
+
+
+@pytest.mark.parametrize("cap", [0, 1, 10])
+def test_theorem2_injected_error(monkeypatch, cap):
+    from mobius_partitions.partitions import partition_table_pentagonal
+
+    real = identities.weighted_sr_series
+
+    def broken(r, f, order):
+        series = real(r, f, order)
+        if r != 3:
+            return series
+        coeffs = list(series.coeffs)
+        coeffs[9 + r] -= 2  # the lhs at (r, n) = (3, 9)
+        return TruncatedSeries(coeffs, order)
+
+    monkeypatch.setattr(identities, "weighted_sr_series", broken)
+    nmax, rmax = 25, 5
+    a_rows = build_a(rmax, build_sieve(nmax + rmax))
+    p = partition_table_pentagonal(nmax)
+    sieve = build_sieve(nmax + rmax)
+    triples = []
+    for r in range(1, rmax + 1):
+        lhs = broken(r, lambda k: identities.mobius(sieve, k), nmax + r)
+        for n in range(nmax + 1):
+            rhs = sum(c * p.value(n - j) for j, c in enumerate(a_rows[r - 1]))
+            triples.append(((r, n), lhs.coefficient(n + r), rhs))
+    report = verify_theorem2(nmax, rmax, cap=cap)
+    assert _bookkeeping(report) == _bookkeeping(_per_element("thm2", cap, triples))
+    assert report.failures == 1 and report.checked == rmax * (nmax + 1)
+
+
+def test_phi_builds_the_partition_series_once(monkeypatch):
+    from mobius_partitions import partitions
+
+    real = partitions.pochhammer
+    starts = []
+
+    def counting(start, factors, order):
+        starts.append(start)
+        return real(start, factors, order)
+
+    monkeypatch.setattr(partitions, "pochhammer", counting)
+    assert verify_phi_identities(30).passed
+    assert sorted(starts) == [1, 2]

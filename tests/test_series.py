@@ -1,10 +1,17 @@
 import inspect
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from series_reference import inplace_pochhammer, schoolbook_mul, schoolbook_reciprocal
+from series_reference import (
+    divisor_loop_lambert,
+    inplace_pochhammer,
+    schoolbook_mul,
+    schoolbook_reciprocal,
+)
 
+from mobius_partitions import series
 from mobius_partitions.arith import build_sieve, mobius, totient
 from mobius_partitions.partitions import enumerate_partitions
 from mobius_partitions.series import (
@@ -200,6 +207,8 @@ def test_kernel_signatures_are_fixed():
     # the benchmark's tracer reads these arguments by name
     assert list(inspect.signature(pochhammer).parameters) == ["start", "factors", "order"]
     assert list(inspect.signature(reciprocal).parameters) == ["a"]
+    assert list(inspect.signature(lambert_sum).parameters) == ["f", "order"]
+    assert list(inspect.signature(build_sieve).parameters) == ["limit"]
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4, 5, 6])
@@ -219,6 +228,42 @@ def test_lambert_mu_collapses_to_q():
     t = build_sieve(200)
     s = lambert_sum(lambda k: mobius(t, k), 200)
     assert s == TruncatedSeries.monomial(1, 200)
+
+
+# Weights for the Lambert kernel: zeros, small values of both signs, and
+# magnitudes far past a machine word.
+_LAMBERT_WEIGHTS = (0, 0, 1, -1, 2, -3, 2**100, -(2**100))
+# Orders where isqrt(order) steps up, the orders just before them, and 0..3.
+_ISQRT_STEPS = sorted({t * t + d for t in range(1, 21) for d in (-1, 0)} | {0, 1, 2, 3})
+
+
+@pytest.mark.parametrize("piece", [1, 5, series._SLICE_PIECE])
+def test_lambert_matches_divisor_loop_at_every_order(monkeypatch, piece):
+    # small pieces put the seams of the chunked slice updates inside 0..400
+    monkeypatch.setattr(series, "_SLICE_PIECE", piece)
+    rng = random.Random(5)
+    weights = [rng.choice(_LAMBERT_WEIGHTS) for _ in range(401)]
+    for order in range(401):
+        assert lambert_sum(weights.__getitem__, order).coeffs == divisor_loop_lambert(
+            weights.__getitem__, order
+        ), order
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.one_of(st.integers(min_value=0, max_value=400), st.sampled_from(_ISQRT_STEPS)),
+    st.randoms(use_true_random=False),
+)
+def test_lambert_matches_divisor_loop(order, rng):
+    weights = [rng.choice(_LAMBERT_WEIGHTS) for _ in range(order + 1)]
+    calls = []
+
+    def f(k):
+        calls.append(k)
+        return weights[k]
+
+    assert lambert_sum(f, order).coeffs == divisor_loop_lambert(weights.__getitem__, order)
+    assert calls == list(range(1, order + 1))
 
 
 def test_lambert_phi_gives_n():
