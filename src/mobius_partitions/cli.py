@@ -163,10 +163,10 @@ def cmd_table(args) -> int:
         sr = sr_table_gf(args.r, args.nmax)
         header = list(range(args.r, args.nmax + 1))
         labels = list(range(args.nmax + 1))
-        rows = [
-            [sr.count(n, k) if args.r <= k <= n else None for k in header]
-            for n in labels
-        ]
+        rows = []
+        for n in labels:
+            cells = sr.row(n, args.r, n)
+            rows.append(cells + [None] * (len(header) - len(cells)))
         params = {"r": args.r, "nmax": args.nmax}
         corner = "n"
 
@@ -403,6 +403,10 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except (OverflowError, ArithmeticError, AssertionError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except MemoryError:
+        # not exit 1, which means that a verification failed
+        print("error: out of memory; try smaller sizes", file=sys.stderr)
         return EXIT_NUMERIC
 
 

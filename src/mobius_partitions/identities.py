@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain, islice, repeat
+from math import isqrt
 from operator import add, eq, mul, sub
 
 from mobius_partitions.arith import MultiplicativeTable, build_sieve, mobius, mobius_scaled, totient
@@ -25,6 +26,7 @@ from mobius_partitions.partitions import (
     sr_table_enum,
     sr_table_gf,
     weighted_sr_series,
+    weighted_sr_sweep,
     _min_part_gf,
 )
 from mobius_partitions.series import lambert_sum
@@ -188,14 +190,14 @@ def verify_theorem2(nmax: int, rmax: int, cap: int = DEFAULT_COUNTEREXAMPLE_CAP)
     sieve = build_sieve(nmax + rmax)
     a_rows = build_a(rmax, sieve)
     p = partition_table_pentagonal(nmax)
-    for r in range(1, rmax + 1):
-        lhs = weighted_sr_series(r, partial(mobius, sieve), nmax + r)
-        a_row = a_rows[r - 1]
-        # window n of p holds p(n-w+1) .. p(n), w = len(a_row), p(< 0) = 0
-        width = len(a_row)
-        padded = [0] * (width - 1) + list(p.values)
-        rev = a_row[::-1]
-        rhs = [sum(map(mul, rev, padded[n : n + width])) for n in range(nmax + 1)]
+    # The left-hand sides come from one Lambert sum per r and never from the
+    # a-row recurrence, which the right-hand sides use.
+    lhs_series = weighted_sr_sweep(rmax, partial(mobius, sieve), nmax + rmax)
+    for r, lhs, a_row in zip(range(1, rmax + 1), lhs_series, a_rows):
+        rhs = [0] * (nmax + 1)
+        for j, c in enumerate(a_row):
+            if c:
+                rhs[j:] = map(add, rhs[j:], map(mul, repeat(c), p.values))
         report.record_all(lambda n: (r, n), lhs.coeffs[r : nmax + r + 1], rhs)
     return report
 
@@ -312,9 +314,11 @@ def verify_prime_corollary(
     if which not in _PRIME_ALPHA_SPECS:
         raise ValueError(f"which must be i, ii or alternate-form, got {which!r}")
     r, weight, c_this, c_next = _PRIME_ALPHA_SPECS[which]
-    sieve = build_sieve(max(alpha * (nmax + 2), alpha))
-    if not sieve.is_prime(alpha):
+    # trial division first, so that a composite alpha is refused before the
+    # sieve of size alpha * (nmax + 2) is built
+    if alpha < 2 or any(alpha % d == 0 for d in range(2, isqrt(alpha) + 1)):
         raise ValueError(f"alpha={alpha} is not prime")
+    sieve = build_sieve(max(alpha * (nmax + 2), alpha))
     report = VerificationReport("prime-alpha", {"nmax": nmax, "alpha": alpha, "which": which}, cap=cap)
     lhs = weighted_sr_series(r, partial(weight, sieve, alpha), nmax + r)
     p = partition_table_pentagonal(nmax + 2)
@@ -355,14 +359,15 @@ def verify_lemma1(
     build = sr_table_gf if route == "gf" else sr_table_enum
     report = VerificationReport("lemma1", {"nmax": nmax, "rmax": rmax, "route": route}, cap=cap)
     limit = nmax + rmax
-    tables = {r: build(r, limit) for r in range(1, rmax + 2)}
+    # Every table is built on its own: one stepped from the table before it
+    # would satisfy the lemma by construction.
+    lo = build(1, limit)
     for r in range(1, rmax + 1):
-        lo, hi = tables[r], tables[r + 1]
+        hi = build(r + 1, limit)
         for n in range(r + 1, nmax + 1):
-            for k in range(r + 1, n + 1):
-                lhs = hi.count(n + r, k)
-                rhs = lo.count(n + r, k) - lo.count(n, k)
-                report.record((r, n, k), lhs, rhs)
+            rhs = list(map(sub, lo.row(n + r, r + 1, n), lo.row(n, r + 1, n)))
+            report.record_all(lambda i: (r, n, r + 1 + i), hi.row(n + r, r + 1, n), rhs)
+        lo = hi
     return report
 
 
@@ -387,6 +392,5 @@ def verify_sr_oracle(nmax: int, rmax: int, cap: int = DEFAULT_COUNTEREXAMPLE_CAP
         fast = sr_table_gf(r, nmax)
         slow = sr_table_enum(r, nmax)
         for n in range(nmax + 1):
-            for k in range(r, n + 1):
-                report.record((r, n, k), fast.count(n, k), slow.count(n, k))
+            report.record_all(lambda i: (r, n, r + i), fast.row(n, r, n), slow.row(n, r, n))
     return report

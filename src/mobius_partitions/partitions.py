@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
+from operator import add, itemgetter, sub
 from typing import Callable, Iterator
 
 from mobius_partitions.series import TruncatedSeries, lambert_sum, pochhammer, reciprocal
@@ -111,14 +112,18 @@ def enumerate_partitions(n: int, min_part: int = 1) -> Iterator[list]:
 
 
 class SrTable:
-    """Dense table of S^(r)_{n,k} for 0 <= n <= limit, read-only after build."""
+    """Dense table of S^(r)_{n,k} for 0 <= n <= limit, read-only after build.
 
-    __slots__ = ("r", "limit", "_rows")
+    Stored by column: _cols[k][n] = S^(r)_{n,k}, every column of length
+    limit + 1 and zero wherever k < r or k > n.
+    """
 
-    def __init__(self, r: int, limit: int, rows):
+    __slots__ = ("r", "limit", "_cols")
+
+    def __init__(self, r: int, limit: int, cols):
         self.r = r
         self.limit = limit
-        self._rows = rows
+        self._cols = cols
 
     def count(self, n: int, k: int) -> int:
         """S^(r)_{n,k}; zero for k < r or k > n (including k beyond limit)."""
@@ -126,12 +131,21 @@ class SrTable:
             raise IndexError(f"n={n} outside 0..{self.limit}")
         if k < self.r or k > n:
             return 0
-        return self._rows[n][k]
+        return self._cols[k][n]
+
+    def row(self, n: int, lo: int, hi: int) -> list:
+        """[S^(r)_{n,k} for k = lo..hi], empty when hi < lo; lo and hi
+        within 0..limit."""
+        if not 0 <= n <= self.limit:
+            raise IndexError(f"n={n} outside 0..{self.limit}")
+        if lo < 0 or hi > self.limit:
+            raise IndexError(f"columns {lo}..{hi} outside 0..{self.limit}")
+        return list(map(itemgetter(n), self._cols[lo : hi + 1]))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SrTable):
             return NotImplemented
-        return (self.r, self.limit, self._rows) == (other.r, other.limit, other._rows)
+        return (self.r, self.limit, self._cols) == (other.r, other.limit, other._cols)
 
 
 def sr_table_enum(r: int, limit: int) -> SrTable:
@@ -144,19 +158,28 @@ def sr_table_enum(r: int, limit: int) -> SrTable:
         for parts in enumerate_partitions(n, r):
             for k in parts:
                 row[k] += 1
-    return SrTable(r, limit, rows)
+    return SrTable(r, limit, list(map(list, zip(*rows))))
 
 
 def sr_table_gf(r: int, limit: int) -> SrTable:
-    """S^(r) via coefficient extraction from q^k/(1-q^k) * 1/(q^r; q)_inf."""
+    """S^(r) via coefficient extraction from q^k/(1-q^k) * 1/(q^r; q)_inf.
+
+    Column k is that series, so S^(r)_{n,k} = inv[n-k] + S^(r)_{n-k,k}
+    with inv = 1/(q^r; q)_inf: each block of k entries is the one before
+    it plus a window of inv, one slice update per block.
+    """
     _check_sr_args(r, limit)
-    inv = _min_part_gf(r, limit).coeffs
-    rows = [[0] * (limit + 1) for _ in range(limit + 1)]
-    for k in range(r, limit + 1):
-        for mk in range(k, limit + 1, k):
-            for n in range(mk, limit + 1):
-                rows[n][k] += inv[n - mk]
-    return SrTable(r, limit, rows)
+    # a list, not the tuple: short tuple slices would stay behind in
+    # CPython's tuple free lists
+    inv = list(_min_part_gf(r, limit).coeffs)
+    size = limit + 1
+    cols = [[0] * size for _ in range(size)]
+    for k in range(r, size):
+        col = cols[k]
+        for b in range(k, size, k):
+            end = min(b + k, size)
+            col[b:end] = map(add, inv[b - k : end - k], col[b - k : end - k])
+    return SrTable(r, limit, cols)
 
 
 def weighted_sr_series(r: int, f: Callable[[int], int], order: int) -> TruncatedSeries:
@@ -168,14 +191,39 @@ def weighted_sr_series(r: int, f: Callable[[int], int], order: int) -> Truncated
     assumed here.  f is called only for r <= k <= order.
     """
     _check_sr_args(r, order)
-    lam = lambert_sum(lambda k: f(k) if k >= r else 0, order)
-    return _min_part_gf(r, order) * lam
+    return _min_part_gf(r, order) * _lambert_from(r, f, order)
+
+
+def weighted_sr_sweep(rmax: int, f: Callable[[int], int], order: int) -> Iterator[TruncatedSeries]:
+    """weighted_sr_series(r, f, order) for r = 1..rmax, in that order, from
+    one 1/(q; q)_inf (see _min_part_gfs) and one Lambert sum and product
+    per r."""
+    _check_sr_args(rmax, order)
+    for r, inv in enumerate(_min_part_gfs(rmax, order), 1):
+        yield inv * _lambert_from(r, f, order)
+
+
+def _lambert_from(r: int, f: Callable[[int], int], order: int) -> TruncatedSeries:
+    """sum_{k >= r} f(k) q^k/(1-q^k)."""
+    return lambert_sum(lambda k: f(k) if k >= r else 0, order)
 
 
 def _min_part_gf(r: int, order: int) -> TruncatedSeries:
     """1/(q^r; q)_inf, whose q^n coefficient counts the partitions of n
     with every part >= r."""
     return reciprocal(pochhammer(r, None, order))
+
+
+def _min_part_gfs(rmax: int, order: int) -> Iterator[TruncatedSeries]:
+    """1/(q^r; q)_inf for r = 1..rmax from a single reciprocal.
+
+    Each step is the definition of the product, 1/(q^(r+1); q)_inf =
+    (1 - q^r) * 1/(q^r; q)_inf: one subtraction of the series shifted by r.
+    """
+    inv = list(_min_part_gf(1, order).coeffs)
+    for r in range(1, rmax + 1):
+        yield TruncatedSeries(inv, order)
+        inv[r:] = map(sub, inv[r:], inv[:-r])
 
 
 def check_enumeration_size(n: int) -> None:

@@ -4,9 +4,11 @@ import json
 
 import pytest
 
+from mobius_partitions import cli, identities
 from mobius_partitions.cli import main
 from mobius_partitions.identities import build_a, build_b
 from mobius_partitions.arith import build_sieve
+from mobius_partitions.partitions import sr_table_enum
 
 
 def run(capsys, *argv):
@@ -190,6 +192,57 @@ def test_verify_bad_alpha(capsys):
     code, _, err = run(capsys, "verify", "prime-alpha", "--alpha", "6", "--nmax", "5")
     assert code == 2
     assert "prime" in err
+
+
+def test_verify_composite_alpha_builds_no_sieve(capsys, monkeypatch):
+    def refuse(limit):
+        raise AssertionError("sieve built")
+
+    monkeypatch.setattr(identities, "build_sieve", refuse)
+    code, out, err = run(capsys, "verify", "prime-alpha", "--alpha", "4", "--nmax", "5")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "not prime" in err
+
+
+def test_out_of_memory_is_numeric_error(capsys, monkeypatch):
+    def exhausted(nmax, cap):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "verify_lambert", exhausted)
+    code, out, err = run(capsys, "verify", "lambert", "--nmax", "10")
+    assert code == 3 and out == ""
+    assert err.startswith("error:") and "memory" in err
+
+
+def _sr_rendering(r, nmax, fmt):
+    """table sr output for S^(r), 0 <= n <= nmax, from the enumeration
+    oracle: columns k = r..nmax, cells with k > n blank in csv and text and
+    0 in json, text columns right-aligned to their widest entry."""
+    oracle = sr_table_enum(r, nmax)
+    ks = list(range(r, nmax + 1))
+    cells = [[oracle.count(n, k) if k <= n else None for k in ks] for n in range(nmax + 1)]
+    if fmt == "json":
+        rows = [[0 if v is None else v for v in row] for row in cells]
+        return json.dumps({"kind": "sr", "params": {"r": r, "nmax": nmax}, "rows": rows}) + "\n"
+    text = [["" if v is None else str(v) for v in row] for row in cells]
+    if fmt == "csv":
+        lines = [",".join(["n"] + [str(k) for k in ks])]
+        lines += [",".join([str(n)] + row) for n, row in enumerate(text)]
+        return "\n".join(lines) + "\n"
+    widths = [max([len(str(k))] + [len(row[i]) for row in text]) for i, k in enumerate(ks)]
+    label = len(str(nmax))
+    lines = [" ".join([" " * label] + [str(k).rjust(w) for k, w in zip(ks, widths)])]
+    for n, row in enumerate(text):
+        lines.append(" ".join([str(n).rjust(label)] + [v.rjust(w) for v, w in zip(row, widths)]))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "text"])
+@pytest.mark.parametrize("r", [1, 3])
+def test_table_sr_output_is_pinned(capsys, r, fmt):
+    code, out, _ = run(capsys, "table", "sr", "--r", str(r), "--nmax", "30", "--format", fmt)
+    assert code == 0
+    assert out == _sr_rendering(r, 30, fmt)
 
 
 def test_examples_all_pass(capsys):

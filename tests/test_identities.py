@@ -335,30 +335,100 @@ def test_b_symmetry_injected_error(monkeypatch, cap):
 def test_theorem2_injected_error(monkeypatch, cap):
     from mobius_partitions.partitions import partition_table_pentagonal
 
-    real = identities.weighted_sr_series
+    real = identities.weighted_sr_sweep
 
-    def broken(r, f, order):
-        series = real(r, f, order)
-        if r != 3:
-            return series
-        coeffs = list(series.coeffs)
-        coeffs[9 + r] -= 2  # the lhs at (r, n) = (3, 9)
-        return TruncatedSeries(coeffs, order)
+    def broken(rmax, f, order):
+        for r, series in enumerate(real(rmax, f, order), 1):
+            if r == 3:
+                coeffs = list(series.coeffs)
+                coeffs[9 + r] -= 2  # the lhs at (r, n) = (3, 9)
+                series = TruncatedSeries(coeffs, order)
+            yield series
 
-    monkeypatch.setattr(identities, "weighted_sr_series", broken)
+    monkeypatch.setattr(identities, "weighted_sr_sweep", broken)
     nmax, rmax = 25, 5
     a_rows = build_a(rmax, build_sieve(nmax + rmax))
     p = partition_table_pentagonal(nmax)
     sieve = build_sieve(nmax + rmax)
+    lhs_rows = list(broken(rmax, lambda k: identities.mobius(sieve, k), nmax + rmax))
     triples = []
     for r in range(1, rmax + 1):
-        lhs = broken(r, lambda k: identities.mobius(sieve, k), nmax + r)
+        lhs = lhs_rows[r - 1]
         for n in range(nmax + 1):
             rhs = sum(c * p.value(n - j) for j, c in enumerate(a_rows[r - 1]))
             triples.append(((r, n), lhs.coefficient(n + r), rhs))
     report = verify_theorem2(nmax, rmax, cap=cap)
     assert _bookkeeping(report) == _bookkeeping(_per_element("thm2", cap, triples))
     assert report.failures == 1 and report.checked == rmax * (nmax + 1)
+
+
+@pytest.mark.parametrize("cap", [1, 10])
+def test_lemma1_injected_errors(monkeypatch, cap):
+    real = identities.sr_table_gf
+    wrong = {3: (10, 5), 2: (14, 6)}  # table r -> cell (n, k) made one too large
+
+    def broken(r, limit):
+        table = real(r, limit)
+        if r in wrong:
+            n, k = wrong[r]
+            table._cols[k][n] += 1
+        return table
+
+    monkeypatch.setattr(identities, "sr_table_gf", broken)
+    nmax, rmax = 20, 4
+    tables = {r: broken(r, nmax + rmax) for r in range(1, rmax + 2)}
+    triples = []
+    for r in range(1, rmax + 1):
+        lo, hi = tables[r], tables[r + 1]
+        for n in range(r + 1, nmax + 1):
+            for k in range(r + 1, n + 1):
+                triples.append(((r, n, k), hi.count(n + r, k), lo.count(n + r, k) - lo.count(n, k)))
+    report = verify_lemma1(nmax, rmax, cap=cap)
+    assert _bookkeeping(report) == _bookkeeping(_per_element("lemma1", cap, triples))
+    # each wrong cell fails once as the larger table and twice as the smaller one
+    assert report.failures == 6
+    assert report.counterexamples[0].index == (1, 13, 6)
+
+
+def test_theorem2_builds_one_inverse(monkeypatch):
+    from mobius_partitions import partitions
+
+    calls = []
+
+    def counting(name):
+        real = getattr(partitions, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return real(*args)
+
+        return wrapper
+
+    for name in ("pochhammer", "reciprocal"):
+        monkeypatch.setattr(partitions, name, counting(name))
+    assert verify_theorem2(60, 12).passed
+    assert sorted(calls) == ["pochhammer", "reciprocal"]
+
+
+def test_dense_sweeps_do_not_step_the_inverse(monkeypatch):
+    from mobius_partitions import partitions
+
+    def refuse(rmax, order):
+        raise AssertionError("stepped inverse used")
+
+    monkeypatch.setattr(partitions, "_min_part_gfs", refuse)
+    for rep in (verify_lemma1(30, 5), verify_lemma1(20, 3, "enum"), verify_sr_oracle(25, 4)):
+        assert rep.passed and rep.checked > 0, rep.summary()
+
+
+def test_prime_alpha_refuses_composite_before_sieve(monkeypatch):
+    def refuse(limit):
+        raise AssertionError("sieve built")
+
+    monkeypatch.setattr(identities, "build_sieve", refuse)
+    for alpha in (0, 1, 4, 9, 25, 1_000_000):
+        with pytest.raises(ValueError, match="not prime"):
+            verify_prime_corollary(10, alpha, "i")
 
 
 def test_phi_builds_the_partition_series_once(monkeypatch):

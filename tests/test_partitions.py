@@ -2,9 +2,11 @@ import inspect
 
 import pytest
 
+from mobius_partitions import partitions
 from mobius_partitions.arith import build_sieve, mobius, totient
 from mobius_partitions.partitions import (
     ENUMERATION_CAP,
+    SrTable,
     backward_difference,
     count_restricted,
     enumerate_partitions,
@@ -13,7 +15,10 @@ from mobius_partitions.partitions import (
     sr_table_enum,
     sr_table_gf,
     weighted_sr_series,
+    weighted_sr_sweep,
 )
+from mobius_partitions.series import pochhammer, reciprocal
+from partitions_reference import triple_loop_sr_rows
 
 
 def parts_of(n, min_part=1):
@@ -164,6 +169,36 @@ def test_sr_zero_outside_support():
     assert s.count(0, 3) == 0
     with pytest.raises(IndexError):
         s.count(11, 3)
+    assert s.row(5, 0, 10) == [0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0]
+    assert s.row(5, 3, 5) == [s.count(5, k) for k in range(3, 6)]
+    assert s.row(2, 3, 2) == []
+    for bad in ((11, 3, 5), (-1, 3, 5), (5, -1, 5), (5, 3, 11)):
+        with pytest.raises(IndexError):
+            s.row(*bad)
+
+
+@pytest.mark.parametrize("r", range(1, 7))
+def test_sr_gf_matches_triple_loop(r):
+    inv = partitions._min_part_gf(r, 60).coeffs
+    # S^(r)_{n,k} does not depend on the limit, so one reference table at 60
+    # holds every smaller one in its corner
+    want = triple_loop_sr_rows(inv, r, 60)
+    for limit in range(r, 61):
+        table = sr_table_gf(r, limit)
+        for n in range(limit + 1):
+            assert table.row(n, 0, limit) == want[n][: limit + 1], (limit, n)
+
+
+def test_sr_table_class_can_be_swapped():
+    # the benchmark tracer reassigns __class__ to a slot-less subclass
+    class Counting(SrTable):
+        __slots__ = ()
+
+    table = sr_table_gf(2, 8)
+    want = [table.row(n, 0, 8) for n in range(9)]
+    table.__class__ = Counting
+    assert [table.row(n, 0, 8) for n in range(9)] == want
+    assert table == sr_table_gf(2, 8)
 
 
 def test_sr_diagonal():
@@ -173,7 +208,7 @@ def test_sr_diagonal():
 
 
 def test_sr_routes_agree():
-    for r in range(1, 5):
+    for r in range(1, 7):
         assert sr_table_gf(r, 30) == sr_table_enum(r, 30)
 
 
@@ -196,6 +231,21 @@ def test_weighted_sr_series_matches_enumeration(r):
             assert series.coefficient(n) == want, (name, n)
 
 
+def test_stepped_inverses_match_reciprocal():
+    for order in (0, 1, 5, 11, 12, 13, 150):
+        stepped = list(partitions._min_part_gfs(12, order))
+        assert len(stepped) == 12
+        for r, inv in enumerate(stepped, 1):
+            assert inv == reciprocal(pochhammer(r, None, order)), (order, r)
+
+
+def test_weighted_sr_sweep_matches_weighted_sr_series():
+    sieve = build_sieve(80)
+    for f in (lambda k: mobius(sieve, k), lambda k: totient(sieve, k)):
+        sweep = list(weighted_sr_sweep(9, f, 80))
+        assert sweep == [weighted_sr_series(r, f, 80) for r in range(1, 10)]
+
+
 def test_sr_bad_args():
     with pytest.raises(ValueError):
         sr_table_gf(0, 5)
@@ -205,6 +255,8 @@ def test_sr_bad_args():
         sr_table_enum(1, ENUMERATION_CAP + 1)
     with pytest.raises(ValueError):
         weighted_sr_series(4, int, 3)
+    with pytest.raises(ValueError):
+        list(weighted_sr_sweep(4, int, 3))
 
 
 def test_backward_difference():
