@@ -11,14 +11,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain, islice, repeat
+from itertools import accumulate, chain, islice, repeat
 from math import isqrt
-from operator import add, eq, mul, sub
+from operator import add, eq, mul, neg, sub
 
 from mobius_partitions.arith import MultiplicativeTable, build_sieve, mobius, mobius_scaled, totient
 from mobius_partitions.partitions import (
     ENUMERATION_CAP,
-    backward_difference,
+    PartitionTable,
     check_enumeration_size,
     count_restricted,
     enumerate_partitions,
@@ -27,7 +27,8 @@ from mobius_partitions.partitions import (
     sr_table_gf,
     weighted_sr_series,
     weighted_sr_sweep,
-    _min_part_gf,
+    _lambert_from,
+    _min_part_gfs,
 )
 from mobius_partitions.series import lambert_sum
 
@@ -170,6 +171,21 @@ def build_a(rmax: int, table: MultiplicativeTable) -> list:
     return rows
 
 
+def _shifted_p_sums(p: PartitionTable, terms, count: int) -> list:
+    """[sum of c p(n - s) over the (c, s) in terms, for n < count], with
+    p(<0) = 0: one C-level pass over p per nonzero c.  Every shift s is
+    >= 0, and p must reach count - 1."""
+    if count > p.limit + 1:
+        raise ValueError(f"p table to {p.limit} is too short for {count} sums")
+    out = [0] * count
+    for c, s in terms:
+        if s < 0:
+            raise ValueError(f"shift must be >= 0, got {s}")
+        if c:
+            out[s:] = map(add, out[s:], map(mul, repeat(c), p.values))
+    return out
+
+
 def verify_theorem1(nmax: int, r: int, cap: int = DEFAULT_COUNTEREXAMPLE_CAP) -> VerificationReport:
     """p(n) = (-1)^(r-1) sum_k S^(r)_{n+r,k} mu(k) for r in {1, 2}."""
     if r not in (1, 2):
@@ -177,10 +193,9 @@ def verify_theorem1(nmax: int, r: int, cap: int = DEFAULT_COUNTEREXAMPLE_CAP) ->
     report = VerificationReport("thm1", {"nmax": nmax, "r": r}, cap=cap)
     sieve = build_sieve(nmax + r)
     lhs = weighted_sr_series(r, partial(mobius, sieve), nmax + r)
-    p = partition_table_pentagonal(nmax)
+    p = _shifted_p_sums(partition_table_pentagonal(nmax), ((1, 0),), nmax + 1)
     sign = (-1) ** (r - 1)
-    for n in range(nmax + 1):
-        report.record(n, p.value(n), sign * lhs.coefficient(n + r))
+    report.record_all(lambda n: n, p, list(map(mul, repeat(sign), lhs.coeffs[r : nmax + r + 1])))
     return report
 
 
@@ -194,10 +209,7 @@ def verify_theorem2(nmax: int, rmax: int, cap: int = DEFAULT_COUNTEREXAMPLE_CAP)
     # a-row recurrence, which the right-hand sides use.
     lhs_series = weighted_sr_sweep(rmax, partial(mobius, sieve), nmax + rmax)
     for r, lhs, a_row in zip(range(1, rmax + 1), lhs_series, a_rows):
-        rhs = [0] * (nmax + 1)
-        for j, c in enumerate(a_row):
-            if c:
-                rhs[j:] = map(add, rhs[j:], map(mul, repeat(c), p.values))
+        rhs = _shifted_p_sums(p, ((c, j) for j, c in enumerate(a_row)), nmax + 1)
         report.record_all(lambda n: (r, n), lhs.coeffs[r : nmax + r + 1], rhs)
     return report
 
@@ -221,15 +233,17 @@ def verify_weighted_corollary(nmax: int, r: int, cap: int = DEFAULT_COUNTEREXAMP
     return report
 
 
-# which -> S^(r) table r, S-table index offset, first n, difference of p,
-# count_restricted predicate
+# which -> S^(r) table r, S-table index offset, first n, difference of p as
+# (coefficient, shift) terms of p(n - shift), count_restricted predicate
 _COROLLARY_SPECS = {
-    2: dict(r=3, offset=3, nmin=0, diff=lambda p, n: backward_difference(p, 1, n),
+    # nabla p(n) = p(n) - p(n-1)
+    2: dict(r=3, offset=3, nmin=0, diff=((1, 0), (-1, 1)),
             predicate="no-ones"),
-    3: dict(r=4, offset=5, nmin=3, diff=lambda p, n: backward_difference(p, 2, n),
+    # nabla^2 p(n) = p(n) - 2 p(n-1) + p(n-2)
+    3: dict(r=4, offset=5, nmin=3, diff=((1, 0), (-2, 1), (1, 2)),
             predicate="no-ones-and-largest-repeated"),
-    4: dict(r=5, offset=5, nmin=6,
-            diff=lambda p, n: backward_difference(p, 2, n) - backward_difference(p, 2, n - 4),
+    # nabla^2 p(n) - nabla^2 p(n-4)
+    4: dict(r=5, offset=5, nmin=6, diff=((1, 0), (-2, 1), (1, 2), (-1, 4), (2, 5), (-1, 6)),
             predicate="no-ones-at-most-one-two-largest-repeated"),
 }
 
@@ -251,12 +265,14 @@ def verify_corollary(which: int, nmax: int, cap: int = DEFAULT_COUNTEREXAMPLE_CA
     report = VerificationReport(f"cor{which}", {"nmax": nmax}, cap=cap)
     sieve = build_sieve(nmax + offset)
     msum = weighted_sr_series(spec["r"], partial(mobius, sieve), nmax + offset)
-    p = partition_table_pentagonal(max(nmax, 1))
-    for n in range(spec["nmin"], nmax + 1):
-        diff = spec["diff"](p, n)
-        report.record(n, diff, -msum.coefficient(n + offset))
-        if n <= ENUMERATION_CAP:
-            report.record(n, diff, count_restricted(n, spec["predicate"]))
+    diff = _shifted_p_sums(partition_table_pentagonal(max(nmax, 1)), spec["diff"], nmax + 1)
+    mobius_leg = list(map(neg, msum.coeffs[offset:]))
+    # both legs per n up to the cap, in that order; past it, one row compare
+    split = max(spec["nmin"], min(nmax, ENUMERATION_CAP) + 1)
+    for n in range(spec["nmin"], split):
+        report.record(n, diff[n], mobius_leg[n])
+        report.record(n, diff[n], count_restricted(n, spec["predicate"]))
+    report.record_all(lambda i: split + i, diff[split:], mobius_leg[split:])
     return report
 
 
@@ -266,21 +282,19 @@ def verify_phi_identities(nmax: int, cap: int = DEFAULT_COUNTEREXAMPLE_CAP) -> V
     report = VerificationReport("phi", {"nmax": nmax}, cap=cap)
     sieve = build_sieve(nmax + 2)
     phi = partial(totient, sieve)
-    # r = 1 needs no cut of the Lambert sums at k >= r, and both share 1/(q;q)_inf
-    inv = _min_part_gf(1, nmax + 1)
-    s1_phi = inv * lambert_sum(phi, nmax + 1)
-    s2_phi = weighted_sr_series(2, phi, nmax + 2)
-    s1_ones = inv * lambert_sum(lambda k: int(k == 1), nmax + 1)
-    p = partition_table_pentagonal(nmax)
-    # Running sums: rhs2(n) = rhs2(n-1) + p(n), and rhs1(n) = rhs1(n-1) + rhs2(n)
-    # since sum_k (k+1) p(n-k) = sum_{j<=n} (n-j+1) p(j).
-    rhs1 = rhs2 = 0
-    for n in range(nmax + 1):
-        rhs2 += p.value(n)
-        rhs1 += rhs2
-        report.record(n, s1_phi.coefficient(n + 1), rhs1)
-        report.record(n, s2_phi.coefficient(n + 2), rhs2)
-        report.record(n, rhs2, s1_ones.coefficient(n + 1))
+    order = nmax + 2
+    inv1, inv2 = _min_part_gfs(2, order)
+    s1_phi = inv1 * lambert_sum(phi, order)
+    s2_phi = inv2 * _lambert_from(2, phi, order)
+    s1_ones = inv1 * lambert_sum(lambda k: int(k == 1), order)
+    # Running sums: rhs2(n) = sum_{j<=n} p(j), and rhs1 is the running sum of
+    # rhs2 since sum_k (k+1) p(n-k) = sum_{j<=n} (n-j+1) p(j).
+    rhs2 = list(accumulate(partition_table_pentagonal(nmax).values))
+    rhs1 = accumulate(rhs2)
+    # three checks per n, in this order: the rows interleave them
+    lhs = zip(s1_phi.coeffs[1:], s2_phi.coeffs[2:], rhs2)
+    rhs = zip(rhs1, rhs2, s1_ones.coeffs[1:])
+    report.record_all(lambda i: i // 3, list(chain.from_iterable(lhs)), list(chain.from_iterable(rhs)))
     return report
 
 
@@ -290,8 +304,9 @@ def _mobius_coprime(sieve: MultiplicativeTable, alpha: int, k: int) -> int:
 
 
 # which -> (S^(r) table r, weight(sieve, alpha, k), coefficient of
-# p(n+1-alpha^j), coefficient of p(n+2-alpha^(j+1))); every right-hand side
-# sums over the powers alpha^j <= n+1, past which both p arguments are < 0.
+# p(n+1-alpha^j), coefficient of p(n+2-alpha^(j+1))); the right-hand sides
+# sum over the powers alpha^j <= nmax+1, and at each n the powers past n+1
+# add nothing, since both p arguments are < 0.
 _PRIME_ALPHA_SPECS = {
     "i": (1, mobius_scaled, -1, 0),
     "ii": (2, mobius_scaled, 1, -1),
@@ -321,14 +336,13 @@ def verify_prime_corollary(
     sieve = build_sieve(max(alpha * (nmax + 2), alpha))
     report = VerificationReport("prime-alpha", {"nmax": nmax, "alpha": alpha, "which": which}, cap=cap)
     lhs = weighted_sr_series(r, partial(weight, sieve, alpha), nmax + r)
-    p = partition_table_pentagonal(nmax + 2)
-    for n in range(nmax + 1):
-        rhs = 0
-        power = 1
-        while power <= n + 1:
-            rhs += c_this * p.value(n + 1 - power) + c_next * p.value(n + 2 - alpha * power)
-            power *= alpha
-        report.record(n, lhs.coefficient(n + r), rhs)
+    terms = []
+    power = 1
+    while power <= nmax + 1:
+        terms += [(c_this, power - 1), (c_next, alpha * power - 2)]
+        power *= alpha
+    rhs = _shifted_p_sums(partition_table_pentagonal(nmax), terms, nmax + 1)
+    report.record_all(lambda n: n, lhs.coeffs[r:], rhs)
     return report
 
 

@@ -38,27 +38,36 @@ class PartitionTable:
 
 
 def partition_table_pentagonal(limit: int) -> PartitionTable:
-    """p(0..limit) via Euler's pentagonal-number recurrence.
+    """p(0..limit) via Euler's pentagonal-number recurrence,
+    p(n) = sum over the generalized pentagonal g <= n of +-p(n - g), where
+    g is k(3k - 1)/2 or k(3k + 1)/2 and the sign is + for odd k, - for even.
 
-    Independent of the series module on purpose: this is the oracle the
-    generating-function route is checked against.
+    While p(n) is summed, p holds p(0..n-1), so p[-g] is p(n - g): each g
+    joins the list of its sign once g <= n, and every p(n) is two C-level
+    sums over those lists.  Independent of the series module on purpose:
+    this is the oracle the generating-function route is checked against.
     """
     if limit < 0:
         raise ValueError(f"limit must be >= 0, got {limit}")
-    p = [0] * (limit + 1)
-    p[0] = 1
-    for n in range(1, limit + 1):
-        total = 0
+    plus, minus = [], []
+
+    def pentagonals():
         k = 1
         while True:
-            g1 = n - k * (3 * k - 1) // 2
-            g2 = n - k * (3 * k + 1) // 2
-            if g1 < 0 and g2 < 0:
-                break
-            term = (p[g1] if g1 >= 0 else 0) + (p[g2] if g2 >= 0 else 0)
-            total += term if k % 2 == 1 else -term
+            side = plus if k % 2 else minus
+            yield k * (3 * k - 1) // 2, side
+            yield k * (3 * k + 1) // 2, side
             k += 1
-        p[n] = total
+
+    p = [1]
+    upcoming = pentagonals()
+    g, side = next(upcoming)
+    for n in range(1, limit + 1):
+        # the generalized pentagonal numbers are distinct, so at most one joins per n
+        if g == n:
+            side.append(-g)
+            g, side = next(upcoming)
+        p.append(sum(map(p.__getitem__, plus)) - sum(map(p.__getitem__, minus)))
     return PartitionTable(limit, tuple(p))
 
 

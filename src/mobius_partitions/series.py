@@ -176,19 +176,16 @@ def pochhammer(start: int, factors: Optional[int], order: int) -> TruncatedSerie
     The product G over the exponent set S is found from its logarithmic
     derivative: q G'/G = -sum_k sigma_S(k) q^k, with sigma_S(k) the sum of
     the m in S dividing k, so n G_n = -sum_{k=1..n} sigma_S(k) G_{n-k}.
-    sigma_S comes from a divisor sieve, and the recurrence is solved by
-    divide-and-conquer online convolution: each solved half is folded into
-    the next with one _mul.
+    sigma_S is the Lambert sum of m -> m on S, and the recurrence is solved
+    by divide-and-conquer online convolution: each solved half is folded
+    into the next with one _mul.
     """
     if start < 1:
         raise ValueError(f"start must be >= 1, got {start}")
     if factors is not None and factors < 0:
         raise ValueError(f"factor count must be >= 0, got {factors}")
     stop = order + 1 if factors is None else min(start + factors, order + 1)
-    sigma = [0] * (order + 1)
-    for m in range(start, stop):
-        for k in range(m, order + 1, m):
-            sigma[k] += m
+    sigma = lambert_sum(lambda m: m if start <= m < stop else 0, order).coeffs
     g = [1] + [0] * order
     # acc[n] holds sum sigma[n-j] g[j] over the j already folded in.
     acc = [0] * (order + 1)

@@ -443,4 +443,157 @@ def test_phi_builds_the_partition_series_once(monkeypatch):
 
     monkeypatch.setattr(partitions, "pochhammer", counting)
     assert verify_phi_identities(30).passed
-    assert sorted(starts) == [1, 2]
+    assert starts == [1]
+
+
+def _shifted_reference(p, terms, count):
+    return [sum(c * p.value(n - s) for c, s in terms) for n in range(count)]
+
+
+@pytest.mark.parametrize("terms", [
+    [],
+    [(1, 0)],
+    [(0, 0), (3, 2), (0, 5)],  # zero coefficients
+    [(2, 3), (-1, 3), (5, 0), (-4, 3)],  # repeated shifts
+    [(1, 40), (-7, 41), (2, 1000), (1, 39)],  # shifts at and past count
+    [(-1, 1), (2, 7), (-3, 12), (1, 15)],
+])
+def test_shifted_p_sums_match_per_n_sums(terms):
+    from mobius_partitions.partitions import partition_table_pentagonal
+
+    p = partition_table_pentagonal(45)
+    for count in (0, 1, 13, 40, 46):
+        assert identities._shifted_p_sums(p, terms, count) == _shifted_reference(p, terms, count)
+
+
+def test_shifted_p_sums_rejects_bad_terms():
+    from mobius_partitions.partitions import partition_table_pentagonal
+
+    p = partition_table_pentagonal(10)
+    with pytest.raises(ValueError, match="shift"):
+        identities._shifted_p_sums(p, [(1, 0), (1, -1)], 5)
+    with pytest.raises(ValueError, match="too short"):
+        identities._shifted_p_sums(p, [(1, 0)], 12)
+
+
+def test_corollary_terms_are_the_differences():
+    from mobius_partitions.partitions import backward_difference, partition_table_pentagonal
+
+    p = partition_table_pentagonal(100)
+    expected = {
+        2: [backward_difference(p, 1, n) for n in range(101)],
+        3: [backward_difference(p, 2, n) for n in range(101)],
+        4: [backward_difference(p, 2, n) - (backward_difference(p, 2, n - 4) if n >= 4 else 0)
+            for n in range(101)],
+    }
+    for which, diffs in expected.items():
+        terms = identities._COROLLARY_SPECS[which]["diff"]
+        assert identities._shifted_p_sums(p, terms, 101) == diffs, which
+
+
+def test_p_oracle_runs_without_series(monkeypatch):
+    from mobius_partitions import partitions, series
+    from mobius_partitions.partitions import partition_table_pentagonal
+
+    def refuse(*args):
+        raise AssertionError("series kernel called")
+
+    for module in (series, partitions, identities):
+        for name in ("_mul", "lambert_sum", "pochhammer", "reciprocal"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    p = partition_table_pentagonal(500)
+    assert p.values[100] == 190569292
+    assert identities._shifted_p_sums(p, [(1, 0), (-1, 1)], 501)[100] == 190569292 - 169229875
+
+
+def _bump_products(monkeypatch, changes):
+    """Make the i-th TruncatedSeries product come out with its coefficient
+    j raised by d, for each (i, j, d) in changes."""
+    real = TruncatedSeries.__mul__
+    made = []
+
+    def broken(self, other):
+        out = list(real(self, other).coeffs)
+        for i, j, d in changes:
+            if i == len(made):
+                out[j] += d
+        made.append(None)
+        return TruncatedSeries(out, self.order)
+
+    monkeypatch.setattr(TruncatedSeries, "__mul__", broken)
+
+
+def _evidence(report):
+    return report.failures, [(c.index, c.lhs, c.rhs) for c in report.counterexamples]
+
+
+# The expected failures, counterexamples and their order below are those of
+# the per-n sweeps these verifiers replaced, run with the same injected
+# changes.
+
+@pytest.mark.parametrize("cap", [1, 10])
+def test_theorem1_injected_errors(monkeypatch, cap):
+    from mobius_partitions.partitions import partition_table_pentagonal
+
+    p = partition_table_pentagonal(60).values
+    # r = 2: the left-hand side at n is -coefficient(n + 2)
+    _bump_products(monkeypatch, [(0, 40 + 2, 3), (0, 7 + 2, -1)])
+    report = verify_theorem1(60, 2, cap=cap)
+    assert report.checked == 61
+    assert _evidence(report) == (2, [((7,), p[7], p[7] + 1), ((40,), p[40], p[40] - 3)][:cap])
+
+
+@pytest.mark.parametrize("cap", [1, 10])
+def test_phi_injected_errors(monkeypatch, cap):
+    # products in order: s1_phi, s2_phi, s1_ones; the checks at n are
+    # s1_phi(n+1) = rhs1, s2_phi(n+2) = rhs2, rhs2 = s1_ones(n+1)
+    _bump_products(monkeypatch, [(0, 5 + 1, 1), (1, 5 + 2, 1), (2, 3 + 1, 1)])
+    report = verify_phi_identities(30, cap=cap)
+    assert report.checked == 3 * 31
+    # p = 1, 1, 2, 3, 5, 7: rhs2(3) = 7, rhs2(5) = 19, rhs1(5) = 45
+    assert _evidence(report) == (3, [((3,), 7, 8), ((5,), 46, 45), ((5,), 20, 19)][:cap])
+
+
+@pytest.mark.parametrize("cap", [1, 10])
+def test_prime_alpha_injected_errors(monkeypatch, cap):
+    from mobius_partitions.partitions import partition_table_pentagonal
+
+    p = partition_table_pentagonal(40)
+
+    def rhs(n):  # which="ii", alpha = 3
+        total, power = 0, 1
+        while power <= n + 1:
+            total += p.value(n + 1 - power) - p.value(n + 2 - 3 * power)
+            power *= 3
+        return total
+
+    _bump_products(monkeypatch, [(0, 26 + 2, -2), (0, 2 + 2, 1)])
+    report = verify_prime_corollary(40, 3, "ii", cap=cap)
+    assert report.checked == 41
+    expected = [((2,), rhs(2) + 1, rhs(2)), ((26,), rhs(26) - 2, rhs(26))]
+    assert _evidence(report) == (2, expected[:cap])
+
+
+@pytest.mark.parametrize("cap", [1, 2, 10])
+def test_corollary3_injected_errors(monkeypatch, cap):
+    from mobius_partitions.partitions import backward_difference, partition_table_pentagonal
+
+    p = partition_table_pentagonal(60)
+
+    def enumerated(n, predicate):  # the true count, one too large at n = 8
+        return backward_difference(p, 2, n) + (n == 8)
+
+    monkeypatch.setattr(identities, "count_restricted", enumerated)
+    # the Mobius leg at n is -coefficient(n + 5)
+    _bump_products(monkeypatch, [(0, 50 + 5, 1), (0, 10 + 5, -1), (0, 8 + 5, 4)])
+    report = verify_corollary(3, 60, cap=cap)
+    assert report.checked == 2 * (45 - 3 + 1) + (60 - 45)
+    d = [backward_difference(p, 2, n) for n in range(61)]
+    expected = [
+        ((8,), d[8], d[8] - 4),
+        ((8,), d[8], d[8] + 1),
+        ((10,), d[10], d[10] + 1),
+        ((50,), d[50], d[50] - 1),
+    ]
+    assert _evidence(report) == (4, expected[:cap])

@@ -18,7 +18,7 @@ from mobius_partitions.partitions import (
     weighted_sr_sweep,
 )
 from mobius_partitions.series import pochhammer, reciprocal
-from partitions_reference import triple_loop_sr_rows
+from partitions_reference import pentagonal_while_loop, triple_loop_sr_rows
 
 
 def parts_of(n, min_part=1):
@@ -62,6 +62,16 @@ def test_negative_and_out_of_range():
 
 def test_dual_route_equality():
     assert partition_table_pentagonal(2000).values == partition_table_gf(2000).values
+
+
+def test_sliding_sum_matches_while_loop():
+    # every limit up to 300 crosses each generalized pentagonal boundary
+    # 1, 2, 5, 7, 12, 15, ... as the last n of some table
+    for limit in range(301):
+        table = partition_table_pentagonal(limit)
+        assert table.limit == limit
+        assert list(table.values) == pentagonal_while_loop(limit), limit
+    assert list(partition_table_pentagonal(2000).values) == pentagonal_while_loop(2000)
 
 
 def test_partition_values_match_sympy():
