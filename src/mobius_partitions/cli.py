@@ -12,25 +12,14 @@ import csv
 import io
 import json
 import sys
+from collections import namedtuple
+from math import isqrt
 from typing import Optional
 
+from mobius_partitions import identities
 from mobius_partitions.arith import build_sieve, mobius
-from mobius_partitions.identities import (
-    build_a,
-    build_b,
-    verify_b_symmetry,
-    verify_corollary,
-    verify_lambert,
-    verify_lemma1,
-    verify_phi_identities,
-    verify_prime_corollary,
-    verify_sr_oracle,
-    verify_theorem1,
-    verify_theorem2,
-    verify_weighted_corollary,
-)
+from mobius_partitions.identities import build_a, build_b
 from mobius_partitions.partitions import (
-    backward_difference,
     count_restricted,
     partition_table_pentagonal,
     sr_table_enum,
@@ -42,68 +31,102 @@ EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
-# The sweep flags each identity reads and each table kind needs; any other
-# sweep flag given is refused rather than silently ignored.
-VERIFY_FLAGS = {
-    "thm1": ("nmax", "r"),
-    "thm2": ("nmax", "rmax"),
-    "cor2": ("nmax",),
-    "cor3": ("nmax",),
-    "cor4": ("nmax",),
-    "weighted": ("nmax", "r"),
-    "phi": ("nmax",),
-    "prime-alpha": ("nmax", "alpha", "which"),
-    "b-symmetry": ("rmax",),
-    "lemma1": ("nmax", "rmax"),
-    "lambert": ("nmax",),
-    "oracle-sr": ("nmax", "rmax"),
+# A run priced above this many bytes is refused before anything is allocated.
+MEMORY_BUDGET = 2 << 30
+# tracemalloc peak of build_sieve per entry, at limits 10^5 and 10^6
+SIEVE_ENTRY_BYTES = 67
+
+
+def _ints(count: int, n: int) -> int:
+    """Bytes of count list slots holding ints no larger than about p(n),
+    which has fewer than pi sqrt(2n/3) / ln 2 < 4 sqrt(n) bits."""
+    return count * (36 + isqrt(max(n, 0)) // 2)
+
+
+def _sweep(order: int) -> int:
+    """Bytes of a generating-function sweep to this order: its sieve and
+    about ten p-sized ints per n (6 to 7 measured at order 2000 to 10000)."""
+    return SIEVE_ENTRY_BYTES * order + _ints(10 * (order + 1), order)
+
+
+# A verify row: the verifier's name in identities (its parameters are named
+# like the flags), the flags it reads -> their defaults, the bytes a run
+# needs from the flag values, and the arguments that no flag sets.
+Identity = namedtuple("Identity", "verifier flags price fixed", defaults=({},))
+
+
+# The verifier is looked up by name when it runs, so that a replaced module
+# attribute (a tracer's wrapper, a test double) is the one called.  Dense
+# S^(r) tables have half their cells zero; the a and b rows up to rmax hold
+# about rmax^3/6 small ints each.  thm1 is priced at r = 2, its largest r.
+IDENTITIES = {
+    "thm1": Identity("verify_theorem1", {"nmax": 100, "r": 1}, lambda nmax, r: _sweep(nmax + 2)),
+    "thm2": Identity(
+        "verify_theorem2", {"nmax": 60, "rmax": 6},
+        lambda nmax, rmax: _sweep(nmax + rmax) + _ints(rmax**3 // 3, 0),
+    ),
+    "cor2": Identity("verify_corollary", {"nmax": 45}, lambda nmax: _sweep(nmax + 5), {"which": 2}),
+    "cor3": Identity("verify_corollary", {"nmax": 45}, lambda nmax: _sweep(nmax + 5), {"which": 3}),
+    "cor4": Identity("verify_corollary", {"nmax": 45}, lambda nmax: _sweep(nmax + 5), {"which": 4}),
+    "weighted": Identity("verify_weighted_corollary", {"nmax": 30, "r": 1}, lambda nmax, r: _sweep(nmax)),
+    "phi": Identity("verify_phi_identities", {"nmax": 60}, lambda nmax: _sweep(nmax + 2)),
+    "prime-alpha": Identity(
+        "verify_prime_corollary", {"nmax": 50, "alpha": 2, "which": "i"},
+        lambda nmax, alpha, which: _sweep(nmax + 2) + SIEVE_ENTRY_BYTES * alpha * (nmax + 2),
+    ),
+    "b-symmetry": Identity("verify_b_symmetry", {"rmax": 10}, lambda rmax: _ints(rmax**3 // 6, 0)),
+    "lemma1": Identity(
+        "verify_lemma1", {"nmax": 40, "rmax": 5},
+        lambda nmax, rmax: _ints((nmax + rmax + 1) ** 2, nmax + rmax),
+    ),
+    "lambert": Identity(
+        "verify_lambert", {"nmax": 200}, lambda nmax: SIEVE_ENTRY_BYTES * nmax + _ints(nmax + 1, 0)
+    ),
+    "oracle-sr": Identity(
+        "verify_sr_oracle", {"nmax": 30, "rmax": 4}, lambda nmax, rmax: _ints((nmax + 1) ** 2, nmax)
+    ),
 }
-TABLE_FLAGS = {"a": ("rmax",), "b": ("rmax",), "sr": ("r", "nmax"), "p": ("nmax",)}
-SWEEP_FLAGS = ("nmax", "rmax", "r", "alpha", "which")
+SWEEP_FLAGS = tuple(dict.fromkeys(flag for row in IDENTITIES.values() for flag in row.flags))
 
 
 def _emit(text: str, out: Optional[str]) -> None:
+    if not text.endswith("\n"):
+        text += "\n"
     if out is None:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
     else:
         with open(out, "w") as fh:
             fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
 
 
-def _refuse_ignored_flags(args, command: str, accepted) -> bool:
-    """Print an error and return True if a flag the command ignores was given."""
-    ignored = [
-        f"--{name}"
-        for name in SWEEP_FLAGS
-        if name not in accepted and getattr(args, name, None) is not None
-    ]
+def _checked_values(args, command: str, defaults: dict, price) -> dict:
+    """Each flag the command reads, at its default where it was left out (an
+    explicit 0 stays 0; a default of None marks a required flag).  Refused
+    before anything is allocated: any other sweep flag, which would be
+    silently ignored, a negative --nmax and a run priced over MEMORY_BUDGET."""
+    ignored = [f"--{f}" for f in SWEEP_FLAGS if f not in defaults and getattr(args, f, None) is not None]
     if ignored:
-        print(f"error: {command} does not take {', '.join(ignored)}", file=sys.stderr)
-    return bool(ignored)
+        raise ValueError(f"{command} does not take {', '.join(ignored)}")
+    values = {f: default if getattr(args, f) is None else getattr(args, f) for f, default in defaults.items()}
+    missing = [f"--{f}" for f, value in values.items() if value is None]
+    if missing:
+        raise ValueError(f"{command} requires {' and '.join(missing)}")
+    if values.get("nmax", 0) < 0:
+        raise ValueError(f"--nmax must be >= 0, got {values['nmax']}")
+    need = price(**values)
+    if need > MEMORY_BUDGET:
+        raise ValueError(f"{command} would need about {need / 2**30:.1f} GiB, over the "
+                         f"{MEMORY_BUDGET / 2**30:.0f} GiB limit; try smaller sizes")
+    return values
 
 
 def _table_text(header, row_labels, rows) -> str:
-    widths = [max(len(str(h)), 1) for h in header]
-    cells = []
+    """Every column right-aligned to its widest entry, None cells blank."""
+    lines = [[""] + [str(h) for h in header]]
     for label, row in zip(row_labels, rows):
-        line = [str(label)]
-        for i, v in enumerate(row):
-            s = "" if v is None else str(v)
-            if i < len(widths):
-                widths[i] = max(widths[i], len(s))
-            line.append(s)
-        cells.append(line)
-    lw = max(len(str(l)) for l in [""] + list(row_labels))
-    out = [" ".join([" " * lw] + [str(h).rjust(w) for h, w in zip(header, widths)])]
-    for line in cells:
-        out.append(
-            " ".join([line[0].rjust(lw)] + [s.rjust(w) for s, w in zip(line[1:], widths)])
-        )
-    return "\n".join(out)
+        lines.append([str(label)] + ["" if v is None else str(v) for v in row])
+    widths = [max(map(len, column)) for column in zip(*lines)]
+    return "\n".join(" ".join(s.rjust(w) for s, w in zip(line, widths)) for line in lines)
 
 
 def _table_csv(corner, header, row_labels, rows) -> str:
@@ -120,118 +143,72 @@ def _table_json(kind, params, rows) -> str:
     return json.dumps({"kind": kind, "params": params, "rows": dense})
 
 
-def _pad(rows):
-    """Jagged rows to a rectangle, None marking out-of-support cells."""
-    width = max(len(r) for r in rows)
-    return [list(r) + [None] * (width - len(r)) for r in rows], width
+def _padded(jagged, width: int) -> list:
+    """Rows padded to width columns, None marking out-of-support cells."""
+    return [list(r) + [None] * (width - len(r)) for r in jagged]
+
+
+def _coefficient_rows(jagged):
+    width = max(len(r) for r in jagged)
+    return "r", list(range(width)), list(range(1, len(jagged) + 1)), _padded(jagged, width)
+
+
+def _p_rows(nmax):
+    return "n", ["p"], list(range(nmax + 1)), [[v] for v in partition_table_pentagonal(nmax).values]
+
+
+def _sr_rows(r, nmax):
+    sr = sr_table_gf(r, nmax)
+    rows = _padded((sr.row(n, r, n) for n in range(nmax + 1)), nmax - r + 1)
+    return "n", list(range(r, nmax + 1)), list(range(nmax + 1)), rows
+
+
+# A table row: the flags it requires, in the order json echoes them, the
+# bytes a run needs from the flag values, flag values -> (corner, header, row
+# labels, rows), and (header, row labels, rows) -> the text format.
+Table = namedtuple("Table", "flags price build text", defaults=(_table_text,))
+
+
+# Each price is three times the table, since the output holds every value
+# again as text.
+TABLES = {
+    "a": Table(
+        ("rmax",), lambda rmax: 3 * _ints(rmax**3 // 3, 0),
+        lambda rmax: _coefficient_rows(build_a(rmax, build_sieve(max(rmax, 1)))),
+    ),
+    "b": Table(("rmax",), lambda rmax: 3 * _ints(rmax**3 // 6, 0), lambda rmax: _coefficient_rows(build_b(rmax))),
+    "sr": Table(("r", "nmax"), lambda r, nmax: 3 * _ints((nmax + 1) ** 2, nmax) // 2, _sr_rows),
+    "p": Table(
+        ("nmax",), lambda nmax: 3 * _ints(nmax + 1, nmax), _p_rows,
+        lambda header, labels, rows: ",".join(str(row[0]) for row in rows),
+    ),
+}
 
 
 def cmd_table(args) -> int:
-    if _refuse_ignored_flags(args, f"table {args.kind}", TABLE_FLAGS[args.kind]):
-        return EXIT_USAGE
-    fmt = args.format
-    if args.kind in ("a", "b"):
-        if args.rmax is None:
-            print("table a/b requires --rmax", file=sys.stderr)
-            return EXIT_USAGE
-        if args.kind == "b":
-            jagged = build_b(args.rmax)
-        else:
-            jagged = build_a(args.rmax, build_sieve(max(args.rmax, 1)))
-        rows, width = _pad(jagged)
-        params = {"rmax": args.rmax}
-        header = list(range(width))
-        labels = list(range(1, args.rmax + 1))
-        corner = "r"
-    elif args.kind == "p":
-        if args.nmax is None:
-            print("table p requires --nmax", file=sys.stderr)
-            return EXIT_USAGE
-        table = partition_table_pentagonal(args.nmax)
-        if fmt == "text":
-            _emit(",".join(str(v) for v in table.values), args.out)
-            return EXIT_OK
-        rows = [[v] for v in table.values]
-        params = {"nmax": args.nmax}
-        header = ["p"]
-        labels = list(range(args.nmax + 1))
-        corner = "n"
-    elif args.kind == "sr":
-        if args.r is None or args.nmax is None:
-            print("table sr requires --r and --nmax", file=sys.stderr)
-            return EXIT_USAGE
-        sr = sr_table_gf(args.r, args.nmax)
-        header = list(range(args.r, args.nmax + 1))
-        labels = list(range(args.nmax + 1))
-        rows = []
-        for n in labels:
-            cells = sr.row(n, args.r, n)
-            rows.append(cells + [None] * (len(header) - len(cells)))
-        params = {"r": args.r, "nmax": args.nmax}
-        corner = "n"
-
-    if fmt == "csv":
+    table = TABLES[args.kind]
+    command = f"table {args.kind}"
+    params = _checked_values(args, command, dict.fromkeys(table.flags), table.price)
+    corner, header, labels, rows = table.build(**params)
+    if args.format == "csv":
         _emit(_table_csv(corner, header, labels, rows), args.out)
-    elif fmt == "json":
+    elif args.format == "json":
         _emit(_table_json(args.kind, params, rows), args.out)
     else:
-        _emit(_table_text(header, labels, rows), args.out)
+        _emit(table.text(header, labels, rows), args.out)
     return EXIT_OK
 
 
-def _given(value, default):
-    """The flag's value unless it was left out; an explicit 0 stays 0."""
-    return default if value is None else value
-
-
-def _run_verifier(args):
-    nmax = args.nmax
-    ident = args.identity
-    cap = args.max_counterexamples
-    if ident == "thm1":
-        return verify_theorem1(_given(nmax, 100), _given(args.r, 1), cap=cap)
-    if ident == "thm2":
-        return verify_theorem2(_given(nmax, 60), _given(args.rmax, 6), cap=cap)
-    if ident in ("cor2", "cor3", "cor4"):
-        return verify_corollary(int(ident[3]), _given(nmax, 45), cap=cap)
-    if ident == "weighted":
-        return verify_weighted_corollary(_given(nmax, 30), _given(args.r, 1), cap=cap)
-    if ident == "phi":
-        return verify_phi_identities(_given(nmax, 60), cap=cap)
-    if ident == "prime-alpha":
-        return verify_prime_corollary(
-            _given(nmax, 50), _given(args.alpha, 2), _given(args.which, "i"), cap=cap
-        )
-    if ident == "b-symmetry":
-        return verify_b_symmetry(_given(args.rmax, 10), cap=cap)
-    if ident == "lemma1":
-        return verify_lemma1(_given(nmax, 40), _given(args.rmax, 5), cap=cap)
-    if ident == "lambert":
-        return verify_lambert(_given(nmax, 200), cap=cap)
-    if ident == "oracle-sr":
-        return verify_sr_oracle(_given(nmax, 30), _given(args.rmax, 4), cap=cap)
-    raise AssertionError(ident)
-
-
 def cmd_verify(args) -> int:
-    if args.identity not in VERIFY_FLAGS:
-        print(
-            f"unknown identity {args.identity!r}; choose from {', '.join(VERIFY_FLAGS)}",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
-    if _refuse_ignored_flags(args, f"verify {args.identity}", VERIFY_FLAGS[args.identity]):
-        return EXIT_USAGE
+    if args.identity not in IDENTITIES:
+        raise ValueError(f"unknown identity {args.identity!r}; choose from {', '.join(IDENTITIES)}")
+    row = IDENTITIES[args.identity]
     if args.max_counterexamples < 0:
-        print(
-            f"error: --max-counterexamples must be >= 0, got {args.max_counterexamples}",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
-    report = _run_verifier(args)
+        raise ValueError(f"--max-counterexamples must be >= 0, got {args.max_counterexamples}")
+    values = _checked_values(args, f"verify {args.identity}", row.flags, row.price)
+    report = getattr(identities, row.verifier)(**row.fixed, **values, cap=args.max_counterexamples)
     if report.checked == 0:
-        print(f"error: {report.identity} {report.params} checks nothing", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"{report.identity} {report.params} checks nothing")
     if args.format == "json":
         _emit(json.dumps(report.to_dict()), args.out)
     else:
@@ -239,120 +216,63 @@ def cmd_verify(args) -> int:
     return EXIT_OK if report.passed else EXIT_VERIFY_FAIL
 
 
-def _example_blocks():
-    """The five worked examples, with expected values hard-coded."""
-    sieve = build_sieve(20)
-    p = partition_table_pentagonal(12)
+def _thm1_example(r: int, n: int) -> dict:
+    """Theorem 1 with S-index n: the terms (-1)^(r-1) S^(r)_{n,k} mu(k) for
+    k = r..n, by enumeration, their total, and p(n - r)."""
+    sieve, s = build_sieve(n), sr_table_enum(r, n)
+    terms = [(-1) ** (r - 1) * s.count(n, k) * mobius(sieve, k) for k in range(r, n + 1)]
+    return {"terms": terms, "total": sum(terms), f"p{n - r}": partition_table_pentagonal(n).value(n - r)}
 
-    def mu(k):
-        return mobius(sieve, k)
 
-    blocks = []
+def _corollary_example(which: int, n: int) -> dict:
+    """Corollary `which` at n, each leg by its own route: the enumerated
+    count, the Mobius sum by enumeration and the difference of p."""
+    spec = identities._COROLLARY_SPECS[which]
+    r, m = spec["r"], n + spec["offset"]
+    sieve, s, p = build_sieve(m), sr_table_enum(r, m), partition_table_pentagonal(n)
+    return {
+        "count": count_restricted(n, spec["predicate"]),
+        "mobius_sum": -sum(s.count(m, k) * mobius(sieve, k) for k in range(r, m + 1)),
+        "difference": sum(c * p.value(n - shift) for c, shift in spec["diff"]),
+    }
 
-    s1 = sr_table_enum(1, 5)
-    terms = [s1.count(5, k) * mu(k) for k in range(1, 6)]
-    blocks.append(
-        {
-            "name": "thm1-r1",
-            "detail": "p(4) from mu-weighted part counts over partitions of 5",
-            "expected": {"terms": [12, -4, -2, 0, -1], "total": 5, "p4": 5},
-            "actual": {"terms": terms, "total": sum(terms), "p4": p.value(4)},
-        }
-    )
 
-    s2 = sr_table_enum(2, 6)
-    terms2 = [-s2.count(6, k) * mu(k) for k in range(2, 7)]
-    blocks.append(
-        {
-            "name": "thm1-r2",
-            "detail": "p(4) from partitions of 6 with no 1's",
-            "expected": {"terms": [4, 2, 0, 0, -1], "total": 5, "p4": 5},
-            "actual": {"terms": terms2, "total": sum(terms2), "p4": p.value(4)},
-        }
-    )
-
-    s3 = sr_table_enum(3, 9)
-    msum3 = -sum(s3.count(9, k) * mu(k) for k in range(3, 10))
-    blocks.append(
-        {
-            "name": "cor2-n6",
-            "detail": "partitions of 6 with no 1's",
-            "expected": {"count": 4, "mobius_sum": 4, "difference": 4},
-            "actual": {
-                "count": count_restricted(6, "no-ones"),
-                "mobius_sum": msum3,
-                "difference": backward_difference(p, 1, 6),
-            },
-        }
-    )
-
-    s4 = sr_table_enum(4, 13)
-    msum4 = -sum(s4.count(13, k) * mu(k) for k in range(4, 14))
-    blocks.append(
-        {
-            "name": "cor3-n8",
-            "detail": "partitions of 8 with no 1's, largest part repeated",
-            "expected": {"count": 3, "mobius_sum": 3, "difference": 3},
-            "actual": {
-                "count": count_restricted(8, "no-ones-and-largest-repeated"),
-                "mobius_sum": msum4,
-                "difference": backward_difference(p, 2, 8),
-            },
-        }
-    )
-
-    s5 = sr_table_enum(5, 17)
-    msum5 = -sum(s5.count(17, k) * mu(k) for k in range(5, 18))
-    blocks.append(
-        {
-            "name": "cor4-n12",
-            "detail": "partitions of 12 with no 1's, at most one 2, largest repeated",
-            "expected": {"count": 4, "mobius_sum": 4, "difference": 4},
-            "actual": {
-                "count": count_restricted(
-                    12, "no-ones-at-most-one-two-largest-repeated"
-                ),
-                "mobius_sum": msum5,
-                "difference": backward_difference(p, 2, 12)
-                - backward_difference(p, 2, 8),
-            },
-        }
-    )
-    return blocks
+# The worked examples: name, what it shows, the function and arguments that
+# compute it, and the values worked out by hand.
+EXAMPLES = (
+    ("thm1-r1", "p(4) from mu-weighted part counts over partitions of 5",
+     _thm1_example, (1, 5), {"terms": [12, -4, -2, 0, -1], "total": 5, "p4": 5}),
+    ("thm1-r2", "p(4) from partitions of 6 with no 1's",
+     _thm1_example, (2, 6), {"terms": [4, 2, 0, 0, -1], "total": 5, "p4": 5}),
+    ("cor2-n6", "partitions of 6 with no 1's",
+     _corollary_example, (2, 6), {"count": 4, "mobius_sum": 4, "difference": 4}),
+    ("cor3-n8", "partitions of 8 with no 1's, largest part repeated",
+     _corollary_example, (3, 8), {"count": 3, "mobius_sum": 3, "difference": 3}),
+    ("cor4-n12", "partitions of 12 with no 1's, at most one 2, largest repeated",
+     _corollary_example, (4, 12), {"count": 4, "mobius_sum": 4, "difference": 4}),
+)
 
 
 def cmd_examples(args) -> int:
-    blocks = _example_blocks()
-    if args.only is not None:
-        names = {b["name"] for b in blocks}
-        if args.only not in names:
-            print(
-                f"unknown example {args.only!r}; choose from {', '.join(sorted(names))}",
-                file=sys.stderr,
-            )
-            return EXIT_USAGE
-        blocks = [b for b in blocks if b["name"] == args.only]
+    names = [row[0] for row in EXAMPLES]
+    if args.only is not None and args.only not in names:
+        raise ValueError(f"unknown example {args.only!r}; choose from {', '.join(sorted(names))}")
     results = []
-    for b in blocks:
-        results.append(
-            {
-                "name": b["name"],
-                "detail": b["detail"],
-                "expected": b["expected"],
-                "actual": b["actual"],
-                "passed": b["expected"] == b["actual"],
-            }
-        )
+    for name, detail, evaluate, arguments, expected in EXAMPLES:
+        if args.only in (None, name):
+            actual = evaluate(*arguments)
+            results.append(
+                {"name": name, "detail": detail, "expected": expected, "actual": actual,
+                 "passed": expected == actual}
+            )
     if args.format == "json":
         _emit(json.dumps(results), args.out)
     else:
         lines = []
         for r in results:
-            status = "PASS" if r["passed"] else "FAIL"
-            lines.append(f"{status} {r['name']}: {r['detail']}")
+            lines.append(f"{'PASS' if r['passed'] else 'FAIL'} {r['name']}: {r['detail']}")
             if not r["passed"]:
-                lines.append(f"  expected {r['expected']}")
-                lines.append(f"  actual   {r['actual']}")
+                lines += [f"  expected {r['expected']}", f"  actual   {r['actual']}"]
         _emit("\n".join(lines), args.out)
     return EXIT_OK if all(r["passed"] for r in results) else EXIT_VERIFY_FAIL
 
@@ -364,30 +284,30 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--nmax", type=int, default=None)
-        p.add_argument("--rmax", type=int, default=None)
-        p.add_argument("--r", type=int, default=None)
-        p.add_argument("--alpha", type=int, default=None)
-        p.add_argument("--format", choices=("csv", "json", "text"), default="text")
+    def output(p, formats):
+        p.add_argument("--format", choices=formats, default="text")
         p.add_argument("--out", default=None, help="write output to a file")
 
+    def common(p, formats):
+        for flag in ("nmax", "rmax", "r", "alpha"):
+            p.add_argument(f"--{flag}", type=int, default=None)
+        output(p, formats)
+
     pt = sub.add_parser("table", help="emit a coefficient, partition or S table")
-    pt.add_argument("kind", metavar="which", choices=tuple(TABLE_FLAGS))
-    common(pt)
+    pt.add_argument("kind", metavar="which", choices=tuple(TABLES))
+    common(pt, ("csv", "json", "text"))
     pt.set_defaults(func=cmd_table)
 
     pv = sub.add_parser("verify", help="run an identity verification sweep")
     pv.add_argument("identity")
-    common(pv)
+    common(pv, ("json", "text"))
     pv.add_argument("--which", default=None, help="sub-identity (prime-alpha: i, ii, alternate-form)")
     pv.add_argument("--max-counterexamples", type=int, default=10)
     pv.set_defaults(func=cmd_verify)
 
     pe = sub.add_parser("examples", help="replay the worked examples")
     pe.add_argument("--only", default=None, help="run a single named example block")
-    pe.add_argument("--format", choices=("json", "text"), default="text")
-    pe.add_argument("--out", default=None)
+    output(pe, ("json", "text"))
     pe.set_defaults(func=cmd_examples)
 
     return parser

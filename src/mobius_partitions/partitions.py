@@ -262,32 +262,22 @@ def _largest_repeated(a: list) -> bool:
     return len(a) > 1 and a[-1] == a[-2]
 
 
-# predicate name -> (smallest part it fixes, or None if min_part sets it;
-# test on the ascending part list)
+# predicate name -> test on the ascending part list of a partition with no 1's
 _RESTRICTIONS = {
-    "no-ones": (2, lambda a: True),
-    "no-ones-and-largest-repeated": (2, _largest_repeated),
+    "no-ones": lambda a: True,
+    "no-ones-and-largest-repeated": _largest_repeated,
     # at most one 2: with parts >= 2 in ascending order, a second 2 sits at a[1]
-    "no-ones-at-most-one-two-largest-repeated": (
-        2, lambda a: a[1:2] != [2] and _largest_repeated(a)),
-    "min-part-at-least-r": (None, lambda a: True),
+    "no-ones-at-most-one-two-largest-repeated": lambda a: a[1:2] != [2] and _largest_repeated(a),
 }
-PREDICATES = tuple(_RESTRICTIONS)
 
 
-def count_restricted(n: int, predicate: str, min_part: int | None = None) -> int:
-    """Count partitions of n satisfying a named predicate, by enumeration.
+def count_restricted(n: int, predicate: str) -> int:
+    """Count the partitions of n with no part 1 that satisfy a named
+    predicate, by enumeration.
 
     Predicates: "no-ones"; "no-ones-and-largest-repeated";
-    "no-ones-at-most-one-two-largest-repeated"; "min-part-at-least-r"
-    (takes the bound through min_part).  The first three fix the smallest
-    part at 2 and refuse min_part.
+    "no-ones-at-most-one-two-largest-repeated".
     """
     if predicate not in _RESTRICTIONS:
         raise ValueError(f"unknown predicate {predicate!r}")
-    fixed_min, test = _RESTRICTIONS[predicate]
-    if fixed_min is None and min_part is None:
-        raise ValueError(f"{predicate} needs min_part")
-    if fixed_min is not None and min_part is not None:
-        raise ValueError(f"{predicate} fixes its smallest part; min_part must not be given")
-    return sum(map(test, enumerate_partitions(n, fixed_min if min_part is None else min_part)))
+    return sum(map(_RESTRICTIONS[predicate], enumerate_partitions(n, 2)))

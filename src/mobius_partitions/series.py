@@ -38,18 +38,8 @@ class TruncatedSeries:
         raise AttributeError("TruncatedSeries is immutable")
 
     @classmethod
-    def zero(cls, order: int) -> "TruncatedSeries":
-        return cls((0,), order)
-
-    @classmethod
     def one(cls, order: int) -> "TruncatedSeries":
         return cls((1,), order)
-
-    @classmethod
-    def monomial(cls, power: int, order: int, coeff: int = 1) -> "TruncatedSeries":
-        if not 0 <= power <= order:
-            raise ValueError(f"monomial power {power} outside 0..{order}")
-        return cls((0,) * power + (coeff,), order)
 
     def coefficient(self, j: int) -> int:
         """Coefficient of q^j; raises IndexError outside 0..order."""
@@ -63,33 +53,15 @@ class TruncatedSeries:
         if self.order != other.order:
             raise ValueError(f"order mismatch: {self.order} != {other.order}")
 
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._check_same_order(other)
-        return TruncatedSeries(
-            (a + b for a, b in zip(self.coeffs, other.coeffs)), self.order
-        )
-
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._check_same_order(other)
-        return TruncatedSeries(
-            (a - b for a, b in zip(self.coeffs, other.coeffs)), self.order
-        )
-
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         """Truncated Cauchy product, by Kronecker substitution (see _mul)."""
         self._check_same_order(other)
         return TruncatedSeries(_mul(self.coeffs, other.coeffs, self.order), self.order)
 
-    def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries((-c for c in self.coeffs), self.order)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         return self.order == other.order and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash((self.order, self.coeffs))
 
     def __repr__(self) -> str:
         shown = self.coeffs if self.order <= 8 else self.coeffs[:9] + ("...",)

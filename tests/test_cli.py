@@ -1,6 +1,9 @@
 import csv
 import io
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -120,6 +123,30 @@ def test_verify_each_identity(capsys):
         assert out.startswith("PASS"), ident
 
 
+@pytest.mark.parametrize(
+    "ident, params",
+    [
+        ("thm1", {"nmax": 100, "r": 1}),
+        ("thm2", {"nmax": 60, "rmax": 6}),
+        ("cor2", {"nmax": 45}),
+        ("cor3", {"nmax": 45}),
+        ("cor4", {"nmax": 45}),
+        ("weighted", {"nmax": 30, "r": 1}),
+        ("phi", {"nmax": 60}),
+        ("prime-alpha", {"nmax": 50, "alpha": 2, "which": "i"}),
+        ("b-symmetry", {"rmax": 10}),
+        ("lemma1", {"nmax": 40, "rmax": 5, "route": "gf"}),
+        ("lambert", {"nmax": 200}),
+        ("oracle-sr", {"nmax": 30, "rmax": 4}),
+    ],
+)
+def test_verify_defaults(capsys, ident, params):
+    code, out, _ = run(capsys, "verify", ident, "--format", "json")
+    doc = json.loads(out)
+    assert code == 0 and doc["passed"]
+    assert (doc["identity"], doc["params"]) == (ident, params)
+
+
 def test_verify_unknown_identity(capsys):
     code, _, err = run(capsys, "verify", "fermat")
     assert code == 2
@@ -208,10 +235,105 @@ def test_out_of_memory_is_numeric_error(capsys, monkeypatch):
     def exhausted(nmax, cap):
         raise MemoryError
 
-    monkeypatch.setattr(cli, "verify_lambert", exhausted)
+    monkeypatch.setattr(identities, "verify_lambert", exhausted)
     code, out, err = run(capsys, "verify", "lambert", "--nmax", "10")
     assert code == 3 and out == ""
     assert err.startswith("error:") and "memory" in err
+
+
+def test_verify_refuses_csv_format(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "thm1", "--nmax", "5", "--format", "csv"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "invalid choice: 'csv'" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", ident] for ident, row in cli.IDENTITIES.items() if "nmax" in row.flags]
+    + [["table", "p"], ["table", "sr", "--r", "1"]],
+)
+def test_negative_nmax_names_the_flag(capsys, argv):
+    code, out, err = run(capsys, *argv, "--nmax", "-1")
+    assert (code, out, err) == (2, "", "error: --nmax must be >= 0, got -1\n")
+
+
+@pytest.fixture
+def no_allocation(monkeypatch):
+    """Every builder of a sieve, table or coefficient row the CLI reaches raises."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("allocated")
+
+    names = ("build_sieve", "build_a", "build_b", "sr_table_gf", "sr_table_enum", "partition_table_pentagonal")
+    for module in (cli, identities):
+        for name in names:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "thm1", "--nmax", "100000000"],
+        ["verify", "thm2", "--nmax", "100000000"],
+        ["verify", "thm2", "--nmax", "10", "--rmax", "5000"],
+        ["verify", "cor2", "--nmax", "100000000"],
+        ["verify", "cor3", "--nmax", "100000000"],
+        ["verify", "cor4", "--nmax", "100000000"],
+        ["verify", "weighted", "--nmax", "100000000"],
+        ["verify", "phi", "--nmax", "100000000"],
+        ["verify", "prime-alpha", "--alpha", "1000003", "--nmax", "1000"],
+        ["verify", "b-symmetry", "--rmax", "5000"],
+        ["verify", "lemma1", "--nmax", "100000", "--rmax", "8"],
+        ["verify", "lambert", "--nmax", "100000000"],
+        ["verify", "oracle-sr", "--nmax", "100000"],
+        ["table", "a", "--rmax", "5000"],
+        ["table", "b", "--rmax", "5000"],
+        ["table", "sr", "--r", "1", "--nmax", "100000"],
+        ["table", "p", "--nmax", "100000000"],
+    ],
+)
+def test_oversized_run_is_refused_before_allocating(capsys, no_allocation, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {argv[0]} {argv[1]} would need about") and "GiB limit" in err
+
+
+@pytest.mark.parametrize(
+    "command, name, values",
+    [
+        ("verify", "lambert", {"nmax": 200_000}),
+        ("verify", "thm1", {"nmax": 50_000, "r": 2}),
+        ("verify", "thm2", {"nmax": 2000, "rmax": 30}),
+        ("verify", "phi", {"nmax": 10_000}),
+        ("verify", "prime-alpha", {"nmax": 800, "alpha": 7, "which": "ii"}),
+        ("verify", "b-symmetry", {"rmax": 100}),
+        ("verify", "lemma1", {"nmax": 300, "rmax": 8}),
+        ("verify", "oracle-sr", {"nmax": 45, "rmax": 6}),
+        ("table", "sr", {"r": 1, "nmax": 250}),
+        ("table", "p", {"nmax": 2500}),
+        ("table", "a", {"rmax": 40}),
+        ("table", "b", {"rmax": 60}),
+    ],
+)
+def test_documented_sizes_are_admitted(command, name, values):
+    registry = cli.IDENTITIES if command == "verify" else cli.TABLES
+    assert registry[name].price(**values) <= cli.MEMORY_BUDGET
+
+
+def test_registry_matches_readme_and_identities(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    catalogue = readme[readme.index("## Identity catalogue"):]
+    assert set(re.findall(r"^\| `([\w-]+)` \|", catalogue, re.M)) == set(cli.IDENTITIES)
+    verifiers = {name for name in vars(identities) if name.startswith("verify_")}
+    assert {row.verifier for row in cli.IDENTITIES.values()} == verifiers
+    lines = re.findall(r"^mobius-partitions (.*)$", readme, re.M)
+    assert len(lines) >= 16
+    for line in lines:
+        code, out, err = run(capsys, *shlex.split(line, comments=True))
+        assert code == 0, (line, err)
 
 
 def _sr_rendering(r, nmax, fmt):

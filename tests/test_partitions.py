@@ -286,7 +286,7 @@ def test_count_restricted_known_values():
     assert count_restricted(6, "no-ones") == 4
     assert count_restricted(8, "no-ones-and-largest-repeated") == 3
     assert count_restricted(12, "no-ones-at-most-one-two-largest-repeated") == 4
-    assert count_restricted(17, "min-part-at-least-r", min_part=5) == 7
+    assert sum(1 for _ in enumerate_partitions(17, 5)) == 7
 
 
 def test_count_restricted_witnesses():
@@ -328,19 +328,9 @@ def test_q_r_difference_counts_min_part_partitions():
         s = sr_table_gf(r, 40 + r)
         for n in range(41):
             got = s.count(n + r, r) - (s.count(n, r) if n >= 0 else 0)
-            assert got == count_restricted(n, "min-part-at-least-r", min_part=r)
+            assert got == sum(1 for _ in enumerate_partitions(n, r))
 
 
 def test_count_restricted_unknown_predicate():
     with pytest.raises(ValueError):
         count_restricted(5, "palindromic")
-    with pytest.raises(ValueError):
-        count_restricted(5, "min-part-at-least-r")
-    # the other predicates fix the smallest part at 2 and refuse min_part
-    for predicate in (
-        "no-ones",
-        "no-ones-and-largest-repeated",
-        "no-ones-at-most-one-two-largest-repeated",
-    ):
-        with pytest.raises(ValueError, match="min_part"):
-            count_restricted(6, predicate, min_part=5)
