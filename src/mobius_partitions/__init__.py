@@ -6,13 +6,13 @@ from mobius_partitions.series import TruncatedSeries, lambert_sum, pochhammer, r
 from mobius_partitions.partitions import (
     PartitionTable,
     SrTable,
-    backward_difference,
     count_restricted,
     enumerate_partitions,
     partition_table_gf,
     partition_table_pentagonal,
     sr_table_enum,
     sr_table_gf,
+    sr_tables_enum,
     weighted_sr_series,
 )
 from mobius_partitions.identities import (
@@ -45,13 +45,13 @@ __all__ = [
     "reciprocal",
     "PartitionTable",
     "SrTable",
-    "backward_difference",
     "count_restricted",
     "enumerate_partitions",
     "partition_table_gf",
     "partition_table_pentagonal",
     "sr_table_enum",
     "sr_table_gf",
+    "sr_tables_enum",
     "weighted_sr_series",
     "VerificationReport",
     "build_a",

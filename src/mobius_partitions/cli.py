@@ -82,8 +82,11 @@ IDENTITIES = {
     "lambert": Identity(
         "verify_lambert", {"nmax": 200}, lambda nmax: SIEVE_ENTRY_BYTES * nmax + _ints(nmax + 1, 0)
     ),
+    # one enumerated table per r, held as rows and columns while it is
+    # transposed, and one gf table at a time
     "oracle-sr": Identity(
-        "verify_sr_oracle", {"nmax": 30, "rmax": 4}, lambda nmax, rmax: _ints((nmax + 1) ** 2, nmax)
+        "verify_sr_oracle", {"nmax": 30, "rmax": 4},
+        lambda nmax, rmax: _ints((rmax + 1) * (nmax + 1) ** 2, nmax),
     ),
 }
 SWEEP_FLAGS = tuple(dict.fromkeys(flag for row in IDENTITIES.values() for flag in row.flags))

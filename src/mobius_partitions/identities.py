@@ -25,6 +25,7 @@ from mobius_partitions.partitions import (
     partition_table_pentagonal,
     sr_table_enum,
     sr_table_gf,
+    sr_tables_enum,
     weighted_sr_series,
     weighted_sr_sweep,
     _lambert_from,
@@ -225,11 +226,12 @@ def verify_weighted_corollary(nmax: int, r: int, cap: int = DEFAULT_COUNTEREXAMP
     sieve = build_sieve(max(nmax, 1))
     p = partition_table_pentagonal(nmax)
     sign = (-1) ** (r - 1)
+    # Every part lies in r..n <= nmax, inside the sieve, so mu is read
+    # straight from the table: mobius() would only add its range check.
+    mu = sieve.mu.__getitem__
     for n in range(nmax + 1):
-        total = 0
-        for parts in enumerate_partitions(n, r):
-            total += sum(mobius(sieve, k) for k in parts)
-        report.record(n, p.value(n - r), sign * total)
+        parts = chain.from_iterable(enumerate_partitions(n, r))
+        report.record(n, p.value(n - r), sign * sum(map(mu, parts)))
     return report
 
 
@@ -399,12 +401,16 @@ def verify_lambert(nmax: int, cap: int = DEFAULT_COUNTEREXAMPLE_CAP) -> Verifica
 
 def verify_sr_oracle(nmax: int, rmax: int, cap: int = DEFAULT_COUNTEREXAMPLE_CAP) -> VerificationReport:
     """Generating-function S-tables against the enumeration oracle
-    (nmax <= ENUMERATION_CAP)."""
+    (nmax <= ENUMERATION_CAP), whose tables for every r come from one scan
+    per n."""
     check_enumeration_size(nmax)
+    if rmax > nmax:
+        raise ValueError(f"rmax={rmax} exceeds nmax={nmax}: S^(r) needs r <= nmax")
     report = VerificationReport("oracle-sr", {"nmax": nmax, "rmax": rmax}, cap=cap)
-    for r in range(1, rmax + 1):
+    if rmax < 1:
+        return report
+    for r, slow in enumerate(sr_tables_enum(1, rmax, nmax), 1):
         fast = sr_table_gf(r, nmax)
-        slow = sr_table_enum(r, nmax)
         for n in range(nmax + 1):
             report.record_all(lambda i: (r, n, r + i), fast.row(n, r, n), slow.row(n, r, n))
     return report

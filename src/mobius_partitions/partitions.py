@@ -1,6 +1,5 @@
 """Partition counts p(n), explicit enumeration with a smallest-part bound,
-the statistic S^(r)_{n,k} by two independent routes, and backward
-differences of p.
+and the statistic S^(r)_{n,k} by two independent routes.
 
 S^(r)_{n,k} is the total number of parts equal to k across all partitions
 of n whose smallest part is at least r.  The enumeration route scans the
@@ -12,7 +11,7 @@ much larger n.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from itertools import groupby, repeat
 from operator import add, itemgetter, sub
 from typing import Callable, Iterator
 
@@ -159,15 +158,36 @@ class SrTable:
 
 def sr_table_enum(r: int, limit: int) -> SrTable:
     """S^(r) by scanning partitions; the brute-force oracle (limit <= ENUMERATION_CAP)."""
-    _check_sr_args(r, limit)
+    return sr_tables_enum(r, r, limit)[0]
+
+
+def sr_tables_enum(rlo: int, rhi: int, limit: int) -> list:
+    """[S^(r) for r = rlo..rhi] from one scan per n of the partitions with
+    every part >= rlo; the brute-force oracle (limit <= ENUMERATION_CAP).
+
+    The scan is in lexicographic order, so the partitions that share a
+    smallest part s come together: their parts are counted into bucket
+    min(s, rhi), and row n of S^(r) is the sum of the buckets s >= r.
+    """
+    if rhi < rlo:
+        raise ValueError(f"empty range r = {rlo}..{rhi}")
+    _check_sr_args(rlo, limit)
+    _check_sr_args(rhi, limit)
     check_enumeration_size(limit)
-    rows = [[0] * (limit + 1) for _ in range(limit + 1)]
-    for n in range(r, limit + 1):
-        row = rows[n]
-        for parts in enumerate_partitions(n, r):
-            for k in parts:
-                row[k] += 1
-    return SrTable(r, limit, list(map(list, zip(*rows))))
+    size = limit + 1
+    # tables[r - rlo][n][k], rows below n = rlo left zero
+    tables = [[[0] * size for _ in range(size)] for _ in range(rlo, rhi + 1)]
+    for n in range(rlo, size):
+        buckets = [[0] * size for _ in range(rlo, rhi + 1)]
+        for smallest, group in groupby(enumerate_partitions(n, rlo), itemgetter(0)):
+            bucket = buckets[min(smallest, rhi) - rlo]
+            for parts in group:
+                for k in parts:
+                    bucket[k] += 1
+        row = repeat(0, size)
+        for rows, bucket in zip(reversed(tables), reversed(buckets)):
+            row = rows[n] = list(map(add, row, bucket))
+    return [SrTable(r, limit, list(map(list, zip(*rows)))) for r, rows in enumerate(tables, rlo)]
 
 
 def sr_table_gf(r: int, limit: int) -> SrTable:
@@ -249,25 +269,13 @@ def _check_sr_args(r: int, limit: int) -> None:
         raise ValueError(f"limit {limit} smaller than r={r}")
 
 
-def backward_difference(table: PartitionTable, order: int, n: int) -> int:
-    """Backward difference of p: sum_k (-1)^k C(order,k) p(n-k), p(<0) = 0."""
-    if order < 0:
-        raise ValueError(f"difference order must be >= 0, got {order}")
-    if not 0 <= n <= table.limit:
-        raise IndexError(f"n={n} outside 0..{table.limit}")
-    return sum((-1) ** k * comb(order, k) * table.value(n - k) for k in range(order + 1))
-
-
-def _largest_repeated(a: list) -> bool:
-    return len(a) > 1 and a[-1] == a[-2]
-
-
 # predicate name -> test on the ascending part list of a partition with no 1's
 _RESTRICTIONS = {
     "no-ones": lambda a: True,
-    "no-ones-and-largest-repeated": _largest_repeated,
-    # at most one 2: with parts >= 2 in ascending order, a second 2 sits at a[1]
-    "no-ones-at-most-one-two-largest-repeated": lambda a: a[1:2] != [2] and _largest_repeated(a),
+    "no-ones-and-largest-repeated": lambda a: len(a) > 1 and a[-1] == a[-2],
+    # at most one 2: with parts >= 2 in ascending order, a second 2 sits at
+    # a[1]; tested last, since "largest part repeated" fails more often
+    "no-ones-at-most-one-two-largest-repeated": lambda a: len(a) > 1 and a[-1] == a[-2] and a[1:2] != [2],
 }
 
 

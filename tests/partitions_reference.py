@@ -3,8 +3,16 @@
 `triple_loop_sr_rows` is the triple loop that the column-built
 `sr_table_gf` replaced, and `pentagonal_while_loop` the per-n loop that the
 sliding-sum `partition_table_pentagonal` replaced.  Neither shares code with
-the module it checks.
+the module it checks.  `per_part_sr_rows` is the loop that the bucketed
+`sr_tables_enum` replaced: it takes its partitions from
+`enumerate_partitions`, which the tests check against a plain recursion, and
+counts them without buckets.  `backward_difference` is the difference of p
+that the corollaries' term lists are checked against.
 """
+
+from math import comb
+
+from mobius_partitions.partitions import enumerate_partitions
 
 
 def triple_loop_sr_rows(inv, r, limit):
@@ -36,3 +44,24 @@ def pentagonal_while_loop(limit):
             k += 1
         p[n] = total
     return p
+
+
+def per_part_sr_rows(r, limit):
+    """S^(r)_{n,k} as rows[n][k] for 0 <= n, k <= limit, by scanning the
+    partitions of each n with parts >= r and counting every part."""
+    rows = [[0] * (limit + 1) for _ in range(limit + 1)]
+    for n in range(r, limit + 1):
+        row = rows[n]
+        for parts in enumerate_partitions(n, r):
+            for k in parts:
+                row[k] += 1
+    return rows
+
+
+def backward_difference(table, order, n):
+    """Backward difference of p: sum_k (-1)^k C(order,k) p(n-k), p(<0) = 0."""
+    if order < 0:
+        raise ValueError(f"difference order must be >= 0, got {order}")
+    if not 0 <= n <= table.limit:
+        raise IndexError(f"n={n} outside 0..{table.limit}")
+    return sum((-1) ** k * comb(order, k) * table.value(n - k) for k in range(order + 1))

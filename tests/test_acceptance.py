@@ -24,12 +24,12 @@ from mobius_partitions.identities import (
     verify_theorem2,
 )
 from mobius_partitions.partitions import (
-    backward_difference,
     count_restricted,
     partition_table_gf,
     partition_table_pentagonal,
     sr_table_enum,
 )
+from partitions_reference import backward_difference
 
 SUITE_START = time.monotonic()
 

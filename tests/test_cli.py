@@ -3,6 +3,7 @@ import io
 import json
 import re
 import shlex
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -266,7 +267,10 @@ def no_allocation(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("allocated")
 
-    names = ("build_sieve", "build_a", "build_b", "sr_table_gf", "sr_table_enum", "partition_table_pentagonal")
+    names = (
+        "build_sieve", "build_a", "build_b", "sr_table_gf", "sr_table_enum", "sr_tables_enum",
+        "partition_table_pentagonal",
+    )
     for module in (cli, identities):
         for name in names:
             if hasattr(module, name):
@@ -299,6 +303,24 @@ def test_oversized_run_is_refused_before_allocating(capsys, no_allocation, argv)
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith(f"error: {argv[0]} {argv[1]} would need about") and "GiB limit" in err
+
+
+@pytest.mark.parametrize("nmax, rmax", [(3, 5), (0, 1)])
+def test_oracle_sr_refuses_rmax_over_nmax_before_building(capsys, no_allocation, nmax, rmax):
+    code, out, err = run(capsys, "verify", "oracle-sr", "--nmax", str(nmax), "--rmax", str(rmax))
+    assert (code, out) == (2, "")
+    assert err == f"error: rmax={rmax} exceeds nmax={nmax}: S^(r) needs r <= nmax\n"
+
+
+@pytest.mark.parametrize("nmax, rmax", [(20, 1), (20, 20)])
+def test_oracle_sr_price_covers_its_peak(nmax, rmax):
+    tracemalloc.start()
+    try:
+        identities.verify_sr_oracle(nmax, rmax)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= cli.IDENTITIES["oracle-sr"].price(nmax=nmax, rmax=rmax)
 
 
 @pytest.mark.parametrize(

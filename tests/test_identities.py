@@ -19,6 +19,7 @@ from mobius_partitions.identities import (
 )
 from mobius_partitions.partitions import sr_table_enum
 from mobius_partitions.series import TruncatedSeries, pochhammer
+from partitions_reference import backward_difference
 
 def test_build_b_matches_reference_rows(b_rows):
     assert build_b(6) == b_rows
@@ -226,7 +227,7 @@ def test_weighted_sweeps_build_no_dense_table(monkeypatch):
 def test_theorem2_specializations_recover_corollaries():
     # a_3 = [-1,1] is -nabla p; a_4 = [0,-1,2,-1] is -nabla^2 p(n-1);
     # a_5 is -(nabla^2 p(n) - nabla^2 p(n-4))
-    from mobius_partitions.partitions import backward_difference, partition_table_pentagonal
+    from mobius_partitions.partitions import partition_table_pentagonal
 
     p = partition_table_pentagonal(100)
     rows = build_a(5, build_sieve(5))
@@ -410,6 +411,53 @@ def test_theorem2_builds_one_inverse(monkeypatch):
     assert sorted(calls) == ["pochhammer", "reciprocal"]
 
 
+def test_sr_oracle_scans_each_n_once(monkeypatch):
+    from mobius_partitions import partitions
+
+    scans = []
+    real = partitions.enumerate_partitions
+
+    def counting(n, min_part=1):
+        scans.append((n, min_part))
+        return real(n, min_part)
+
+    monkeypatch.setattr(partitions, "enumerate_partitions", counting)
+    assert verify_sr_oracle(30, 5).passed
+    assert scans == [(n, 1) for n in range(1, 31)]
+
+
+def test_sr_oracle_rmax_bounds(monkeypatch):
+    # rmax = nmax is admitted; rmax > nmax is refused (see test_cli)
+    assert verify_sr_oracle(3, 3).checked == 10
+
+    def refuse(*args):
+        raise AssertionError("built")
+
+    for name in ("sr_table_gf", "sr_tables_enum"):
+        monkeypatch.setattr(identities, name, refuse)
+    # rmax = 0 checks nothing, which the CLI refuses, and builds nothing
+    assert verify_sr_oracle(5, 0).checked == 0
+
+
+def test_weighted_corollary_matches_per_part_mobius_sums(monkeypatch):
+    from mobius_partitions.arith import mobius
+    from mobius_partitions.partitions import PartitionTable, enumerate_partitions
+
+    sieve = build_sieve(20)
+    # a p table that is wrong everywhere, so that every n >= r is a
+    # counterexample whose rhs is the enumerated side; below r both sides
+    # are 0, since p(< 0) = 0 and there is no partition to sum over
+    monkeypatch.setattr(identities, "partition_table_pentagonal",
+                        lambda limit: PartitionTable(limit, (-1,) * (limit + 1)))
+    for r in (1, 2):
+        sums = [(-1) ** (r - 1) * sum(mobius(sieve, k) for parts in enumerate_partitions(n, r) for k in parts)
+                for n in range(21)]
+        report = verify_weighted_corollary(20, r, cap=21)
+        assert (report.checked, report.failures) == (21, 21 - r)
+        assert [(c.index, c.rhs) for c in report.counterexamples] == [((n,), sums[n]) for n in range(r, 21)]
+        assert sums[:r] == [0] * r
+
+
 def test_dense_sweeps_do_not_step_the_inverse(monkeypatch):
     from mobius_partitions import partitions
 
@@ -477,7 +525,7 @@ def test_shifted_p_sums_rejects_bad_terms():
 
 
 def test_corollary_terms_are_the_differences():
-    from mobius_partitions.partitions import backward_difference, partition_table_pentagonal
+    from mobius_partitions.partitions import partition_table_pentagonal
 
     p = partition_table_pentagonal(100)
     expected = {
@@ -505,6 +553,22 @@ def test_p_oracle_runs_without_series(monkeypatch):
     p = partition_table_pentagonal(500)
     assert p.values[100] == 190569292
     assert identities._shifted_p_sums(p, [(1, 0), (-1, 1)], 501)[100] == 190569292 - 169229875
+
+
+def test_enumeration_oracle_runs_without_series(monkeypatch):
+    from mobius_partitions import partitions, series
+    from mobius_partitions.partitions import count_restricted, sr_tables_enum
+
+    def refuse(*args):
+        raise AssertionError("series kernel called")
+
+    for module in (series, partitions, identities):
+        for name in ("_mul", "lambert_sum", "pochhammer", "reciprocal"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    assert [t.count(12, 3) for t in sr_tables_enum(1, 4, 12)] == [45, 14, 8, 0]
+    assert verify_weighted_corollary(25, 1).passed and verify_weighted_corollary(25, 2).passed
+    assert count_restricted(12, "no-ones-at-most-one-two-largest-repeated") == 4
 
 
 def _bump_products(monkeypatch, changes):
@@ -577,7 +641,7 @@ def test_prime_alpha_injected_errors(monkeypatch, cap):
 
 @pytest.mark.parametrize("cap", [1, 2, 10])
 def test_corollary3_injected_errors(monkeypatch, cap):
-    from mobius_partitions.partitions import backward_difference, partition_table_pentagonal
+    from mobius_partitions.partitions import partition_table_pentagonal
 
     p = partition_table_pentagonal(60)
 

@@ -7,18 +7,23 @@ from mobius_partitions.arith import build_sieve, mobius, totient
 from mobius_partitions.partitions import (
     ENUMERATION_CAP,
     SrTable,
-    backward_difference,
     count_restricted,
     enumerate_partitions,
     partition_table_gf,
     partition_table_pentagonal,
     sr_table_enum,
     sr_table_gf,
+    sr_tables_enum,
     weighted_sr_series,
     weighted_sr_sweep,
 )
 from mobius_partitions.series import pochhammer, reciprocal
-from partitions_reference import pentagonal_while_loop, triple_loop_sr_rows
+from partitions_reference import (
+    backward_difference,
+    pentagonal_while_loop,
+    per_part_sr_rows,
+    triple_loop_sr_rows,
+)
 
 
 def parts_of(n, min_part=1):
@@ -220,6 +225,29 @@ def test_sr_diagonal():
 def test_sr_routes_agree():
     for r in range(1, 7):
         assert sr_table_gf(r, 30) == sr_table_enum(r, 30)
+
+
+@pytest.mark.parametrize("limit", range(1, 21))
+def test_sr_tables_enum_matches_per_part_loop(limit):
+    reference = {r: per_part_sr_rows(r, limit) for r in range(1, limit + 1)}
+    for rlo in range(1, limit + 1):
+        for rhi in range(rlo, limit + 1):
+            tables = sr_tables_enum(rlo, rhi, limit)
+            assert [(t.r, t.limit) for t in tables] == [(r, limit) for r in range(rlo, rhi + 1)]
+            for t in tables:
+                rows = [t.row(n, 0, limit) for n in range(limit + 1)]
+                assert rows == reference[t.r], (rlo, rhi, t.r)
+
+
+def test_sr_tables_enum_bad_args():
+    with pytest.raises(ValueError, match="empty range"):
+        sr_tables_enum(3, 2, 10)
+    with pytest.raises(ValueError):
+        sr_tables_enum(0, 2, 10)
+    with pytest.raises(ValueError, match="smaller than r=6"):
+        sr_tables_enum(1, 6, 5)
+    with pytest.raises(ValueError, match="capped"):
+        sr_tables_enum(1, 6, ENUMERATION_CAP + 1)
 
 
 @pytest.mark.parametrize("r", range(1, 7))
