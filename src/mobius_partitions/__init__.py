@@ -1,7 +1,7 @@
 """Partition statistics, Mobius/totient sieves, truncated q-series, and
 mechanical verification of the identities relating them."""
 
-from mobius_partitions.arith import MultiplicativeTable, build_sieve, mobius, mobius_scaled, totient
+from mobius_partitions.arith import MultiplicativeTable, build_sieve, mobius, totient
 from mobius_partitions.series import TruncatedSeries, lambert_sum, pochhammer, reciprocal
 from mobius_partitions.partitions import (
     PartitionTable,
@@ -37,7 +37,6 @@ __all__ = [
     "MultiplicativeTable",
     "build_sieve",
     "mobius",
-    "mobius_scaled",
     "totient",
     "TruncatedSeries",
     "lambert_sum",

@@ -59,6 +59,8 @@ Identity = namedtuple("Identity", "verifier flags price fixed", defaults=({},))
 # attribute (a tracer's wrapper, a test double) is the one called.  Dense
 # S^(r) tables have half their cells zero; the a and b rows up to rmax hold
 # about rmax^3/6 small ints each.  thm1 is priced at r = 2, its largest r.
+# prime-alpha's forms i and ii read mu(alpha k) off a sieve to at most
+# alpha (nmax + 2); its alternate form reads mu(k) for k <= nmax + 1 only.
 IDENTITIES = {
     "thm1": Identity("verify_theorem1", {"nmax": 100, "r": 1}, lambda nmax, r: _sweep(nmax + 2)),
     "thm2": Identity(
@@ -72,7 +74,8 @@ IDENTITIES = {
     "phi": Identity("verify_phi_identities", {"nmax": 60}, lambda nmax: _sweep(nmax + 2)),
     "prime-alpha": Identity(
         "verify_prime_corollary", {"nmax": 50, "alpha": 2, "which": "i"},
-        lambda nmax, alpha, which: _sweep(nmax + 2) + SIEVE_ENTRY_BYTES * alpha * (nmax + 2),
+        lambda nmax, alpha, which: _sweep(nmax + 2)
+        + (0 if which == "alternate-form" else SIEVE_ENTRY_BYTES * alpha * (nmax + 2)),
     ),
     "b-symmetry": Identity("verify_b_symmetry", {"rmax": 10}, lambda rmax: _ints(rmax**3 // 6, 0)),
     "lemma1": Identity(

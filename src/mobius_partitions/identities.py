@@ -10,12 +10,11 @@ up to a capped number of counterexamples as evidence.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import accumulate, chain, islice, repeat
 from math import isqrt
 from operator import add, eq, mul, neg, sub
 
-from mobius_partitions.arith import MultiplicativeTable, build_sieve, mobius, mobius_scaled, totient
+from mobius_partitions.arith import MultiplicativeTable, build_sieve
 from mobius_partitions.partitions import (
     ENUMERATION_CAP,
     PartitionTable,
@@ -142,26 +141,17 @@ def build_a(rmax: int, table: MultiplicativeTable) -> list:
         raise ValueError(f"rmax must be >= 1, got {rmax}")
     if table.limit < rmax:
         raise ValueError(f"sieve limit {table.limit} < rmax {rmax}")
-    b_rows = build_b(rmax)
     rows = [[1]]
-    for r in range(1, rmax):
+    for r, b_prev in zip(range(1, rmax), build_b(rmax)):
         prev = rows[-1]
-        b_prev = b_rows[r - 1]
-        mu_r = mobius(table, r)
-
-        def a_prev(j):
-            return prev[j] if 0 <= j < len(prev) else 0
-
-        def b_prev_at(j):
-            return b_prev[j] if 0 <= j < len(b_prev) else 0
-
+        mu_r = table.mu[r]
         span = (r + 1) * (r + 2) // 2 + 1
-        row = []
-        for j in range(span):
-            v = a_prev(j + 1) - mu_r * b_prev_at(j + 1)
-            if j + 1 >= r:
-                v -= a_prev(j + 1 - r)
-            row.append(v)
+        # a_{r,j+1}, b_{r,j+1} and a_{r,j+1-r} at j = 0, 1, ..., zero
+        # outside each row
+        a_next = chain(islice(prev, 1, None), repeat(0))
+        b_next = chain(islice(b_prev, 1, None), repeat(0))
+        a_back = chain(repeat(0, r - 1), prev, repeat(0))
+        row = [a - mu_r * b - back for a, b, back in islice(zip(a_next, b_next, a_back), span)]
         width = _a_support(r + 1)
         tail = row[width:]
         if any(tail):
@@ -193,7 +183,7 @@ def verify_theorem1(nmax: int, r: int, cap: int = DEFAULT_COUNTEREXAMPLE_CAP) ->
         raise ValueError(f"r must be 1 or 2, got {r}")
     report = VerificationReport("thm1", {"nmax": nmax, "r": r}, cap=cap)
     sieve = build_sieve(nmax + r)
-    lhs = weighted_sr_series(r, partial(mobius, sieve), nmax + r)
+    lhs = weighted_sr_series(r, sieve.mu, nmax + r)
     p = _shifted_p_sums(partition_table_pentagonal(nmax), ((1, 0),), nmax + 1)
     sign = (-1) ** (r - 1)
     report.record_all(lambda n: n, p, list(map(mul, repeat(sign), lhs.coeffs[r : nmax + r + 1])))
@@ -208,7 +198,7 @@ def verify_theorem2(nmax: int, rmax: int, cap: int = DEFAULT_COUNTEREXAMPLE_CAP)
     p = partition_table_pentagonal(nmax)
     # The left-hand sides come from one Lambert sum per r and never from the
     # a-row recurrence, which the right-hand sides use.
-    lhs_series = weighted_sr_sweep(rmax, partial(mobius, sieve), nmax + rmax)
+    lhs_series = weighted_sr_sweep(rmax, sieve.mu, nmax + rmax)
     for r, lhs, a_row in zip(range(1, rmax + 1), lhs_series, a_rows):
         rhs = _shifted_p_sums(p, ((c, j) for j, c in enumerate(a_row)), nmax + 1)
         report.record_all(lambda n: (r, n), lhs.coeffs[r : nmax + r + 1], rhs)
@@ -266,7 +256,7 @@ def verify_corollary(which: int, nmax: int, cap: int = DEFAULT_COUNTEREXAMPLE_CA
     offset = spec["offset"]
     report = VerificationReport(f"cor{which}", {"nmax": nmax}, cap=cap)
     sieve = build_sieve(nmax + offset)
-    msum = weighted_sr_series(spec["r"], partial(mobius, sieve), nmax + offset)
+    msum = weighted_sr_series(spec["r"], sieve.mu, nmax + offset)
     diff = _shifted_p_sums(partition_table_pentagonal(max(nmax, 1)), spec["diff"], nmax + 1)
     mobius_leg = list(map(neg, msum.coeffs[offset:]))
     # both legs per n up to the cap, in that order; past it, one row compare
@@ -282,13 +272,12 @@ def verify_phi_identities(nmax: int, cap: int = DEFAULT_COUNTEREXAMPLE_CAP) -> V
     """Totient analogues: sum_k S^(1)_{n+1,k} phi(k) = sum_k (k+1) p(n-k)
     and sum_k S^(2)_{n+2,k} phi(k) = sum_k p(n-k) = S^(1)_{n+1,1}."""
     report = VerificationReport("phi", {"nmax": nmax}, cap=cap)
-    sieve = build_sieve(nmax + 2)
-    phi = partial(totient, sieve)
     order = nmax + 2
+    phi = build_sieve(order).phi
     inv1, inv2 = _min_part_gfs(2, order)
     s1_phi = inv1 * lambert_sum(phi, order)
     s2_phi = inv2 * _lambert_from(2, phi, order)
-    s1_ones = inv1 * lambert_sum(lambda k: int(k == 1), order)
+    s1_ones = inv1 * lambert_sum([0, 1] + [0] * (order - 1), order)
     # Running sums: rhs2(n) = sum_{j<=n} p(j), and rhs1 is the running sum of
     # rhs2 since sum_k (k+1) p(n-k) = sum_{j<=n} (n-j+1) p(j).
     rhs2 = list(accumulate(partition_table_pentagonal(nmax).values))
@@ -300,19 +289,27 @@ def verify_phi_identities(nmax: int, cap: int = DEFAULT_COUNTEREXAMPLE_CAP) -> V
     return report
 
 
-def _mobius_coprime(sieve: MultiplicativeTable, alpha: int, k: int) -> int:
-    """mu(k) for k not divisible by alpha, else 0."""
-    return mobius(sieve, k) if k % alpha else 0
+def _mu_scaled_row(alpha: int, order: int) -> tuple:
+    """[mu(alpha k) for k = 0..order], from a sieve to alpha * order."""
+    return build_sieve(alpha * order).mu[::alpha]
 
 
-# which -> (S^(r) table r, weight(sieve, alpha, k), coefficient of
+def _mu_coprime_row(alpha: int, order: int) -> list:
+    """[mu(k) if alpha does not divide k else 0, for k = 0..order], from a
+    sieve to order."""
+    row = list(build_sieve(order).mu)
+    row[::alpha] = [0] * (order // alpha + 1)
+    return row
+
+
+# which -> (S^(r) table r, weight row builder(alpha, order), coefficient of
 # p(n+1-alpha^j), coefficient of p(n+2-alpha^(j+1))); the right-hand sides
 # sum over the powers alpha^j <= nmax+1, and at each n the powers past n+1
 # add nothing, since both p arguments are < 0.
 _PRIME_ALPHA_SPECS = {
-    "i": (1, mobius_scaled, -1, 0),
-    "ii": (2, mobius_scaled, 1, -1),
-    "alternate-form": (1, _mobius_coprime, 1, 0),
+    "i": (1, _mu_scaled_row, -1, 0),
+    "ii": (2, _mu_scaled_row, 1, -1),
+    "alternate-form": (1, _mu_coprime_row, 1, 0),
 }
 
 
@@ -330,14 +327,13 @@ def verify_prime_corollary(
     """
     if which not in _PRIME_ALPHA_SPECS:
         raise ValueError(f"which must be i, ii or alternate-form, got {which!r}")
-    r, weight, c_this, c_next = _PRIME_ALPHA_SPECS[which]
-    # trial division first, so that a composite alpha is refused before the
-    # sieve of size alpha * (nmax + 2) is built
+    r, weight_row, c_this, c_next = _PRIME_ALPHA_SPECS[which]
+    # trial division first, so that a composite alpha is refused before any
+    # sieve is built
     if alpha < 2 or any(alpha % d == 0 for d in range(2, isqrt(alpha) + 1)):
         raise ValueError(f"alpha={alpha} is not prime")
-    sieve = build_sieve(max(alpha * (nmax + 2), alpha))
     report = VerificationReport("prime-alpha", {"nmax": nmax, "alpha": alpha, "which": which}, cap=cap)
-    lhs = weighted_sr_series(r, partial(weight, sieve, alpha), nmax + r)
+    lhs = weighted_sr_series(r, weight_row(alpha, nmax + r), nmax + r)
     terms = []
     power = 1
     while power <= nmax + 1:
@@ -391,7 +387,7 @@ def verify_lambert(nmax: int, cap: int = DEFAULT_COUNTEREXAMPLE_CAP) -> Verifica
     """The Lambert series sum_k mu(k) q^k/(1-q^k) collapses to q exactly."""
     report = VerificationReport("lambert", {"nmax": nmax}, cap=cap)
     sieve = build_sieve(max(nmax, 1))
-    series = lambert_sum(partial(mobius, sieve), nmax)
+    series = lambert_sum(sieve.mu, nmax)
     expected = [0] * (nmax + 1)
     if nmax >= 1:
         expected[1] = 1

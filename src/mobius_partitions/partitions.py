@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import groupby, repeat
 from operator import add, itemgetter, sub
-from typing import Callable, Iterator
+from typing import Iterator, Sequence
 
 from mobius_partitions.series import TruncatedSeries, lambert_sum, pochhammer, reciprocal
 
@@ -211,30 +211,33 @@ def sr_table_gf(r: int, limit: int) -> SrTable:
     return SrTable(r, limit, cols)
 
 
-def weighted_sr_series(r: int, f: Callable[[int], int], order: int) -> TruncatedSeries:
-    """sum_k S^(r)_{n,k} f(k) for n = 0..order, as the coefficients of
-    1/(q^r; q)_inf * sum_{k >= r} f(k) q^k/(1-q^k).
+def weighted_sr_series(r: int, weights: Sequence[int], order: int) -> TruncatedSeries:
+    """sum_k S^(r)_{n,k} w(k) for n = 0..order, as the coefficients of
+    1/(q^r; q)_inf * sum_{k >= r} w(k) q^k/(1-q^k), where weights[k] = w(k)
+    and the row reaches at least index order.
 
     The Lambert factor is built from divisor sums and never simplified, so
     an identity about it (such as the mu-series collapsing to q) is not
-    assumed here.  f is called only for r <= k <= order.
+    assumed here.  Only the entries r <= k <= order are read.
     """
     _check_sr_args(r, order)
-    return _min_part_gf(r, order) * _lambert_from(r, f, order)
+    return _min_part_gf(r, order) * _lambert_from(r, weights, order)
 
 
-def weighted_sr_sweep(rmax: int, f: Callable[[int], int], order: int) -> Iterator[TruncatedSeries]:
-    """weighted_sr_series(r, f, order) for r = 1..rmax, in that order, from
-    one 1/(q; q)_inf (see _min_part_gfs) and one Lambert sum and product
-    per r."""
+def weighted_sr_sweep(rmax: int, weights: Sequence[int], order: int) -> Iterator[TruncatedSeries]:
+    """weighted_sr_series(r, weights, order) for r = 1..rmax, in that order,
+    from one 1/(q; q)_inf (see _min_part_gfs) and one Lambert sum and
+    product per r."""
     _check_sr_args(rmax, order)
     for r, inv in enumerate(_min_part_gfs(rmax, order), 1):
-        yield inv * _lambert_from(r, f, order)
+        yield inv * _lambert_from(r, weights, order)
 
 
-def _lambert_from(r: int, f: Callable[[int], int], order: int) -> TruncatedSeries:
-    """sum_{k >= r} f(k) q^k/(1-q^k)."""
-    return lambert_sum(lambda k: f(k) if k >= r else 0, order)
+def _lambert_from(r: int, weights: Sequence[int], order: int) -> TruncatedSeries:
+    """sum_{k >= r} w(k) q^k/(1-q^k): the row with its entries below r zeroed."""
+    row = [0] * r
+    row += weights[r : order + 1]
+    return lambert_sum(row, order)
 
 
 def _min_part_gf(r: int, order: int) -> TruncatedSeries:
@@ -269,9 +272,10 @@ def _check_sr_args(r: int, limit: int) -> None:
         raise ValueError(f"limit {limit} smaller than r={r}")
 
 
-# predicate name -> test on the ascending part list of a partition with no 1's
+# predicate name -> test on the ascending part list of a partition with no
+# 1's, or None where every such partition counts
 _RESTRICTIONS = {
-    "no-ones": lambda a: True,
+    "no-ones": None,
     "no-ones-and-largest-repeated": lambda a: len(a) > 1 and a[-1] == a[-2],
     # at most one 2: with parts >= 2 in ascending order, a second 2 sits at
     # a[1]; tested last, since "largest part repeated" fails more often
@@ -288,4 +292,9 @@ def count_restricted(n: int, predicate: str) -> int:
     """
     if predicate not in _RESTRICTIONS:
         raise ValueError(f"unknown predicate {predicate!r}")
-    return sum(map(_RESTRICTIONS[predicate], enumerate_partitions(n, 2)))
+    scan = enumerate_partitions(n, 2)
+    test = _RESTRICTIONS[predicate]
+    if test is None:
+        # counted with no call per partition (n = 0 yields the empty one)
+        return sum(1 for _ in scan)
+    return sum(map(test, scan))

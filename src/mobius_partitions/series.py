@@ -11,7 +11,7 @@ from __future__ import annotations
 from itertools import repeat
 from math import isqrt
 from operator import add
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 
 class TruncatedSeries:
@@ -148,16 +148,18 @@ def pochhammer(start: int, factors: Optional[int], order: int) -> TruncatedSerie
     The product G over the exponent set S is found from its logarithmic
     derivative: q G'/G = -sum_k sigma_S(k) q^k, with sigma_S(k) the sum of
     the m in S dividing k, so n G_n = -sum_{k=1..n} sigma_S(k) G_{n-k}.
-    sigma_S is the Lambert sum of m -> m on S, and the recurrence is solved
-    by divide-and-conquer online convolution: each solved half is folded
-    into the next with one _mul.
+    sigma_S is the Lambert sum of the row holding m at each m in S and 0
+    elsewhere, and the recurrence is solved by divide-and-conquer online
+    convolution: each solved half is folded into the next with one _mul.
     """
     if start < 1:
         raise ValueError(f"start must be >= 1, got {start}")
     if factors is not None and factors < 0:
         raise ValueError(f"factor count must be >= 0, got {factors}")
     stop = order + 1 if factors is None else min(start + factors, order + 1)
-    sigma = lambert_sum(lambda m: m if start <= m < stop else 0, order).coeffs
+    weights = [0] * (order + 1)
+    weights[start:stop] = range(start, stop)
+    sigma = lambert_sum(weights, order).coeffs
     g = [1] + [0] * order
     # acc[n] holds sum sigma[n-j] g[j] over the j already folded in.
     acc = [0] * (order + 1)
@@ -201,30 +203,34 @@ def reciprocal(a: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries(g, n)
 
 
-def lambert_sum(f: Callable[[int], int], order: int) -> TruncatedSeries:
-    """Sum of f(k) q^k/(1-q^k) for k = 1..order, truncated.
+def lambert_sum(weights: Sequence[int], order: int) -> TruncatedSeries:
+    """Sum of w(k) q^k/(1-q^k) for k = 1..order, truncated, where the row
+    weights holds w(k) at index k; weights[0] and entries past order are
+    never read.
 
-    The coefficient of q^n is the divisor sum of f over the divisors of n,
-    since q^k/(1-q^k) contributes 1 at every positive multiple of k.  f is
-    called once per k, giving the pair k = n.  Of every other divisor pair
-    k m = n (m >= 2), k <= s or k > s with s = isqrt(order): each k <= s adds
-    f(k) to 2k, 3k, ... in one slice update, and each cofactor m adds
-    f(s+1), f(s+2), ... to m(s+1), m(s+2), ... in one more, so about
-    2 sqrt(order) slice updates replace order * H(order) single adds.
+    The coefficient of q^n is the divisor sum of w over the divisors of n,
+    since q^k/(1-q^k) contributes 1 at every positive multiple of k.  The
+    row gives the pair k = n.  Of every other divisor pair k m = n (m >= 2),
+    k <= s or k > s with s = isqrt(order): each k <= s adds w(k) to 2k,
+    3k, ... in one slice update, and each cofactor m adds w(s+1), w(s+2),
+    ... to m(s+1), m(s+2), ... in one more, so about 2 sqrt(order) slice
+    updates replace order * H(order) single adds.
     """
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
+    if len(weights) < order + 1:
+        raise ValueError(f"weight row of length {len(weights)} is shorter than order + 1 = {order + 1}")
     out = [0]
-    out += map(f, range(1, order + 1))
+    out += weights[1 : order + 1]
     s = isqrt(order)
-    # f(k) for the k > s that some cofactor m >= 2 reaches, before any update
+    # w(k) for the k > s that some cofactor m >= 2 reaches, before any update
     high = out[s + 1 : order // 2 + 1]
     for m in range(2, order // (s + 1) + 1):
         _add_at(out, m * (s + 1), m, order // m - s, iter(high))
     del high
     # Largest k first: the cofactor updates wrote only above 2s, and below
     # that out[k] is written only by the smaller divisors of k, so it still
-    # holds f(k) when k is reached.
+    # holds w(k) when k is reached.
     for k in range(s, 0, -1):
         if out[k]:
             _add_at(out, 2 * k, k, order // k - 1, repeat(out[k]))

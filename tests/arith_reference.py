@@ -7,7 +7,7 @@ shares no code with the module it checks.
 
 
 def linear_sieve(limit):
-    """(mu, phi, spf) tuples over 0..limit; slot 0 is 0, and spf(1) = 1."""
+    """(mu, phi) tuples over 0..limit; slot 0 is 0."""
     mu = [0] * (limit + 1)
     phi = [0] * (limit + 1)
     spf = [0] * (limit + 1)
@@ -30,4 +30,4 @@ def linear_sieve(limit):
                 break
             mu[m] = -mu[n]
             phi[m] = phi[n] * (p - 1)
-    return tuple(mu), tuple(phi), tuple(spf)
+    return tuple(mu), tuple(phi)

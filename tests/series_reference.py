@@ -45,13 +45,14 @@ def inplace_pochhammer(start, factors, order):
     return tuple(out)
 
 
-def divisor_loop_lambert(f, order):
-    """sum_k f(k) q^k/(1-q^k) mod q^(order+1): f(k) added at every multiple of k."""
+def divisor_loop_lambert(weights, order):
+    """sum_k w(k) q^k/(1-q^k) mod q^(order+1), w(k) = weights[k]: w(k) added
+    at every multiple of k."""
     out = [0] * (order + 1)
     for k in range(1, order + 1):
-        fk = f(k)
-        if fk == 0:
+        wk = weights[k]
+        if wk == 0:
             continue
         for n in range(k, order + 1, k):
-            out[n] += fk
+            out[n] += wk
     return tuple(out)

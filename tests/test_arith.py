@@ -4,7 +4,7 @@ import random
 import pytest
 from arith_reference import linear_sieve
 
-from mobius_partitions.arith import MultiplicativeTable, build_sieve, mobius, mobius_scaled, totient
+from mobius_partitions.arith import MultiplicativeTable, build_sieve, mobius, totient
 
 
 def brute_mobius(n):
@@ -37,7 +37,7 @@ def test_limit_one():
     t = build_sieve(1)
     assert mobius(t, 1) == 1
     assert totient(t, 1) == 1
-    assert t.spf[1] == 1
+    assert (t.mu, t.phi) == ((0, 1), (0, 1))
 
 
 def test_zero_limit_rejected():
@@ -79,12 +79,12 @@ def test_divisor_sum_identities():
 
 def test_prime_entries():
     t = build_sieve(100)
+    # phi(n) = n - 1 exactly when n is prime
     for p in (2, 3, 5, 7, 11, 97):
-        assert t.is_prime(p)
         assert mobius(t, p) == -1
         assert totient(t, p) == p - 1
     for n in (1, 4, 6, 9, 100):
-        assert not t.is_prime(n)
+        assert totient(t, n) != n - 1
 
 
 def test_mu_zero_iff_squarefull():
@@ -115,26 +115,6 @@ def test_out_of_range_raises():
             mobius(t, bad)
         with pytest.raises(IndexError):
             totient(t, bad)
-
-
-def test_mobius_scaled():
-    t = build_sieve(60)
-    assert mobius_scaled(t, 2, 1) == -1
-    assert mobius_scaled(t, 2, 2) == 0
-    assert mobius_scaled(t, 3, 10) == -1
-    # alpha | k forces zero
-    for alpha in (2, 3, 5):
-        for k in range(1, 12):
-            if alpha * alpha * k <= t.limit:
-                assert mobius_scaled(t, alpha, alpha * k) == 0
-
-
-def test_mobius_scaled_errors():
-    t = build_sieve(50)
-    with pytest.raises(ValueError):
-        mobius_scaled(t, 4, 1)
-    with pytest.raises(IndexError):
-        mobius_scaled(t, 2, 26)
 
 
 @pytest.mark.parametrize("limits", [range(1, 601), [10**5]])

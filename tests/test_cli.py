@@ -3,6 +3,8 @@ import io
 import json
 import re
 import shlex
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -297,6 +299,8 @@ def no_allocation(monkeypatch):
         ["table", "b", "--rmax", "5000"],
         ["table", "sr", "--r", "1", "--nmax", "100000"],
         ["table", "p", "--nmax", "100000000"],
+        ["verify", "prime-alpha", "--alpha", "1000003", "--nmax", "1000", "--which", "i"],
+        ["verify", "prime-alpha", "--alpha", "1000003", "--nmax", "1000", "--which", "ii"],
     ],
 )
 def test_oversized_run_is_refused_before_allocating(capsys, no_allocation, argv):
@@ -321,6 +325,39 @@ def test_oracle_sr_price_covers_its_peak(nmax, rmax):
     finally:
         tracemalloc.stop()
     assert peak <= cli.IDENTITIES["oracle-sr"].price(nmax=nmax, rmax=rmax)
+
+
+def test_alternate_form_sieves_only_what_it_reads(capsys, monkeypatch):
+    # mu(k) for k <= nmax + 1, however large alpha is
+    limits = []
+    real = identities.build_sieve
+
+    def spy(limit):
+        limits.append(limit)
+        if limit > 10**5:
+            raise AssertionError(f"sieve to {limit}")
+        return real(limit)
+
+    monkeypatch.setattr(identities, "build_sieve", spy)
+    code, out, err = run(
+        capsys, "verify", "prime-alpha", "--which", "alternate-form", "--alpha", "1000003", "--nmax", "1000"
+    )
+    assert (code, err, limits) == (0, "", [1001])
+    assert out.endswith(": 1001 checks, 0 failures\n")
+
+
+@pytest.mark.parametrize(
+    "nmax, alpha, which",
+    [(300, 7, "i"), (300, 7, "ii"), (300, 7, "alternate-form"), (1000, 101, "alternate-form")],
+)
+def test_prime_alpha_price_covers_its_peak(nmax, alpha, which):
+    tracemalloc.start()
+    try:
+        identities.verify_prime_corollary(nmax, alpha, which)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= cli.IDENTITIES["prime-alpha"].price(nmax=nmax, alpha=alpha, which=which)
 
 
 @pytest.mark.parametrize(
@@ -413,6 +450,25 @@ def test_examples_only(capsys):
     assert out.strip().startswith("PASS cor3-n8")
     code, _, err = run(capsys, "examples", "--only", "nope")
     assert code == 2
+
+
+def test_cli_imports_only_the_standard_library():
+    # the package has zero runtime dependencies: a fresh interpreter that
+    # imports the CLI loads nothing from outside the standard library
+    src = Path(cli.__file__).resolve().parents[1]
+    code = (
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "before = set(sys.modules)\n"
+        "import mobius_partitions.cli\n"
+        "print(*sorted(set(sys.modules) - before))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-I", "-c", code, str(src)], capture_output=True, text=True, timeout=60, check=True
+    )
+    loaded = {name.partition(".")[0] for name in proc.stdout.split()}
+    assert "mobius_partitions" in loaded
+    assert not loaded - set(sys.stdlib_module_names) - {"mobius_partitions"}
 
 
 def test_usage_error_exit_code():

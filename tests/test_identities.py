@@ -19,6 +19,8 @@ from mobius_partitions.identities import (
 )
 from mobius_partitions.partitions import sr_table_enum
 from mobius_partitions.series import TruncatedSeries, pochhammer
+from arith_reference import linear_sieve
+from identities_reference import closure_build_a
 from partitions_reference import backward_difference
 
 def test_build_b_matches_reference_rows(b_rows):
@@ -27,6 +29,21 @@ def test_build_b_matches_reference_rows(b_rows):
 
 def test_build_a_matches_reference_rows(a_rows):
     assert build_a(7, build_sieve(7)) == a_rows
+
+
+def test_build_a_matches_closure_loop():
+    sieve = build_sieve(60)
+    reference = closure_build_a(60, sieve)
+    # row r does not depend on rmax, so every rmax is a prefix of one run
+    for rmax in range(1, 61):
+        assert build_a(rmax, sieve) == reference[:rmax], rmax
+
+
+def test_build_a_support_check_fires(monkeypatch):
+    # one less than the true width leaves a nonzero entry in every tail
+    monkeypatch.setattr(identities, "_a_support", lambda r: (r - 1) * (r - 2) // 2)
+    with pytest.raises(AssertionError, match="support beyond expected width"):
+        build_a(7, build_sieve(7))
 
 
 def test_b_rows_equal_pochhammer_coefficients():
@@ -168,6 +185,16 @@ def test_prime_corollary_errors():
         verify_prime_corollary(10, 2, "iii")
 
 
+@pytest.mark.parametrize("alpha", [2, 3, 5, 7])
+def test_prime_alpha_weight_rows_match_linear_sieve(alpha):
+    mu = linear_sieve(alpha * 200)[0]
+    for order in range(1, 201):
+        scaled = [mu[alpha * k] for k in range(order + 1)]
+        coprime = [mu[k] if k % alpha else 0 for k in range(order + 1)]
+        assert list(identities._mu_scaled_row(alpha, order)) == scaled, order
+        assert list(identities._mu_coprime_row(alpha, order)) == coprime, order
+
+
 def test_b_symmetry():
     rep = verify_b_symmetry(10)
     assert rep.passed, rep.summary()
@@ -290,8 +317,8 @@ def test_negative_cap_rejected():
 def test_lambert_injected_error(monkeypatch, cap):
     real = identities.lambert_sum
 
-    def broken(f, order):
-        coeffs = list(real(f, order).coeffs)
+    def broken(weights, order):
+        coeffs = list(real(weights, order).coeffs)
         coeffs[7] += 1
         return TruncatedSeries(coeffs, order)
 
@@ -338,8 +365,8 @@ def test_theorem2_injected_error(monkeypatch, cap):
 
     real = identities.weighted_sr_sweep
 
-    def broken(rmax, f, order):
-        for r, series in enumerate(real(rmax, f, order), 1):
+    def broken(rmax, weights, order):
+        for r, series in enumerate(real(rmax, weights, order), 1):
             if r == 3:
                 coeffs = list(series.coeffs)
                 coeffs[9 + r] -= 2  # the lhs at (r, n) = (3, 9)
@@ -351,7 +378,7 @@ def test_theorem2_injected_error(monkeypatch, cap):
     a_rows = build_a(rmax, build_sieve(nmax + rmax))
     p = partition_table_pentagonal(nmax)
     sieve = build_sieve(nmax + rmax)
-    lhs_rows = list(broken(rmax, lambda k: identities.mobius(sieve, k), nmax + rmax))
+    lhs_rows = list(broken(rmax, sieve.mu, nmax + rmax))
     triples = []
     for r in range(1, rmax + 1):
         lhs = lhs_rows[r - 1]

@@ -3,7 +3,7 @@ import inspect
 import pytest
 
 from mobius_partitions import partitions
-from mobius_partitions.arith import build_sieve, mobius, totient
+from mobius_partitions.arith import build_sieve, mobius
 from mobius_partitions.partitions import (
     ENUMERATION_CAP,
     SrTable,
@@ -254,18 +254,18 @@ def test_sr_tables_enum_bad_args():
 def test_weighted_sr_series_matches_enumeration(r):
     sieve = build_sieve(90)
     weights = {
-        "mu": lambda k: mobius(sieve, k),
-        "phi": lambda k: totient(sieve, k),
-        "mu(2k)": lambda k: mobius(sieve, 2 * k),
-        "mu(3k)": lambda k: mobius(sieve, 3 * k),
-        "mu, 3 not dividing k": lambda k: mobius(sieve, k) if k % 3 else 0,
-        "k == 1": lambda k: int(k == 1),
+        "mu": sieve.mu,
+        "phi": sieve.phi,
+        "mu(2k)": [0] + [mobius(sieve, 2 * k) for k in range(1, 31)],
+        "mu(3k)": [0] + [mobius(sieve, 3 * k) for k in range(1, 31)],
+        "mu, 3 not dividing k": [0] + [mobius(sieve, k) if k % 3 else 0 for k in range(1, 31)],
+        "k == 1": [0, 1] + [0] * 29,
     }
     oracle = sr_table_enum(r, 30)
-    for name, f in weights.items():
-        series = weighted_sr_series(r, f, 30)
+    for name, w in weights.items():
+        series = weighted_sr_series(r, w, 30)
         for n in range(31):
-            want = sum(oracle.count(n, k) * f(k) for k in range(r, n + 1))
+            want = sum(oracle.count(n, k) * w[k] for k in range(r, n + 1))
             assert series.coefficient(n) == want, (name, n)
 
 
@@ -279,9 +279,19 @@ def test_stepped_inverses_match_reciprocal():
 
 def test_weighted_sr_sweep_matches_weighted_sr_series():
     sieve = build_sieve(80)
-    for f in (lambda k: mobius(sieve, k), lambda k: totient(sieve, k)):
-        sweep = list(weighted_sr_sweep(9, f, 80))
-        assert sweep == [weighted_sr_series(r, f, 80) for r in range(1, 10)]
+    for w in (sieve.mu, sieve.phi):
+        sweep = list(weighted_sr_sweep(9, w, 80))
+        assert sweep == [weighted_sr_series(r, w, 80) for r in range(1, 10)]
+
+
+def test_weighted_sr_ignores_entries_below_r():
+    mu = build_sieve(60).mu
+    junk = [3**k + 5 for k in range(61)]
+    for r in range(1, 8):
+        # entries 0..r-1 are junk in one row and zero in the other
+        clean = weighted_sr_series(r, [0] * r + list(mu[r:]), 60)
+        assert weighted_sr_series(r, junk[:r] + list(mu[r:]), 60) == clean
+        assert list(weighted_sr_sweep(r, junk[:r] + list(mu[r:]), 60))[-1] == clean
 
 
 def test_sr_bad_args():
@@ -292,9 +302,13 @@ def test_sr_bad_args():
     with pytest.raises(ValueError, match="capped"):
         sr_table_enum(1, ENUMERATION_CAP + 1)
     with pytest.raises(ValueError):
-        weighted_sr_series(4, int, 3)
+        weighted_sr_series(4, [0] * 4, 3)
     with pytest.raises(ValueError):
-        list(weighted_sr_sweep(4, int, 3))
+        list(weighted_sr_sweep(4, [0] * 4, 3))
+    with pytest.raises(ValueError, match="shorter than order"):
+        weighted_sr_series(2, [0] * 5, 5)
+    with pytest.raises(ValueError, match="shorter than order"):
+        list(weighted_sr_sweep(2, [0] * 5, 5))
 
 
 def test_backward_difference():

@@ -12,7 +12,7 @@ from series_reference import (
 )
 
 from mobius_partitions import series
-from mobius_partitions.arith import build_sieve, mobius, totient
+from mobius_partitions.arith import build_sieve, totient
 from mobius_partitions.partitions import enumerate_partitions
 from mobius_partitions.series import (
     TruncatedSeries,
@@ -194,7 +194,7 @@ def test_kernel_signatures_are_fixed():
     # the benchmark's tracer reads these arguments by name
     assert list(inspect.signature(pochhammer).parameters) == ["start", "factors", "order"]
     assert list(inspect.signature(reciprocal).parameters) == ["a"]
-    assert list(inspect.signature(lambert_sum).parameters) == ["f", "order"]
+    assert list(inspect.signature(lambert_sum).parameters) == ["weights", "order"]
     assert list(inspect.signature(build_sieve).parameters) == ["limit"]
 
 
@@ -213,7 +213,7 @@ def test_reciprocal_poch_counts_min_part_partitions():
 
 def test_lambert_mu_collapses_to_q():
     t = build_sieve(200)
-    s = lambert_sum(lambda k: mobius(t, k), 200)
+    s = lambert_sum(t.mu, 200)
     assert s == TruncatedSeries([0, 1], 200)
 
 
@@ -231,9 +231,7 @@ def test_lambert_matches_divisor_loop_at_every_order(monkeypatch, piece):
     rng = random.Random(5)
     weights = [rng.choice(_LAMBERT_WEIGHTS) for _ in range(401)]
     for order in range(401):
-        assert lambert_sum(weights.__getitem__, order).coeffs == divisor_loop_lambert(
-            weights.__getitem__, order
-        ), order
+        assert lambert_sum(weights, order).coeffs == divisor_loop_lambert(weights, order), order
 
 
 @settings(max_examples=80, deadline=None)
@@ -242,20 +240,22 @@ def test_lambert_matches_divisor_loop_at_every_order(monkeypatch, piece):
     st.randoms(use_true_random=False),
 )
 def test_lambert_matches_divisor_loop(order, rng):
-    weights = [rng.choice(_LAMBERT_WEIGHTS) for _ in range(order + 1)]
-    calls = []
+    # junk in slot 0 and past the order, which the kernel must not read
+    weights = [7] + [rng.choice(_LAMBERT_WEIGHTS) for _ in range(order)] + [2**64, -1]
+    assert lambert_sum(weights, order).coeffs == divisor_loop_lambert(weights, order)
+    assert lambert_sum(weights, order) == lambert_sum([0] + weights[1 : order + 1], order)
 
-    def f(k):
-        calls.append(k)
-        return weights[k]
 
-    assert lambert_sum(f, order).coeffs == divisor_loop_lambert(weights.__getitem__, order)
-    assert calls == list(range(1, order + 1))
+def test_lambert_refuses_short_row():
+    for order in (0, 1, 5, 100):
+        with pytest.raises(ValueError, match="shorter than order"):
+            lambert_sum([1] * order, order)
+        assert lambert_sum([1] * (order + 1), order).order == order
 
 
 def test_lambert_phi_gives_n():
     t = build_sieve(60)
-    s = lambert_sum(lambda k: totient(t, k), 60)
+    s = lambert_sum(t.phi, 60)
     # oracle: brute-force divisor sums
     for n in range(1, 61):
         assert sum(totient(t, d) for d in range(1, n + 1) if n % d == 0) == n
@@ -265,7 +265,7 @@ def test_lambert_phi_gives_n():
 
 def test_lambert_mu_alpha_scaled():
     t = build_sieve(40)
-    s = lambert_sum(lambda k: t.mu[2 * k] if 2 * k <= 40 else 0, 9)
+    s = lambert_sum(t.mu[::2], 9)
     assert s.coeffs == (0, -1, -1, 0, -1, 0, 0, 0, -1, 0)
 
 
