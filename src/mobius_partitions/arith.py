@@ -5,22 +5,23 @@ immutable and safe to share between threads.  A row is the weight format
 the series kernels read: w[k] for k = 0..limit.
 """
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from itertools import repeat
 from math import isqrt
 
 
-@dataclass(frozen=True)
-class MultiplicativeTable:
+class MultiplicativeTable(namedtuple("MultiplicativeTable", "limit mu phi")):
     """mu and phi rows for 0..limit.
 
     The rows are 1-indexed (index 0 is a dead slot holding 0) so that
     table.mu[k] really is mu(k); mu(1) = phi(1) = 1.
     """
 
-    limit: int
-    mu: tuple = field(repr=False)
-    phi: tuple = field(repr=False)
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        # the rows are left out: a failing test must not print a million entries
+        return f"MultiplicativeTable(limit={self.limit})"
 
 
 def build_sieve(limit: int) -> MultiplicativeTable:
@@ -64,18 +65,4 @@ def build_sieve(limit: int) -> MultiplicativeTable:
     mu = tuple(mu)
     phi = tuple(phi)
     return MultiplicativeTable(limit, mu, phi)
-
-
-def mobius(table: MultiplicativeTable, k: int) -> int:
-    """mu(k); raises IndexError for k outside 1..limit (mu(0) is undefined)."""
-    if not 1 <= k <= table.limit:
-        raise IndexError(f"k={k} outside sieved range 1..{table.limit}")
-    return table.mu[k]
-
-
-def totient(table: MultiplicativeTable, k: int) -> int:
-    """phi(k); raises IndexError outside the sieved range."""
-    if not 1 <= k <= table.limit:
-        raise IndexError(f"k={k} outside sieved range 1..{table.limit}")
-    return table.phi[k]
 

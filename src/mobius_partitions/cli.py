@@ -17,7 +17,7 @@ from math import isqrt
 from typing import Optional
 
 from mobius_partitions import identities
-from mobius_partitions.arith import build_sieve, mobius
+from mobius_partitions.arith import build_sieve
 from mobius_partitions.identities import build_a, build_b
 from mobius_partitions.partitions import (
     count_restricted,
@@ -108,8 +108,8 @@ def _emit(text: str, out: Optional[str]) -> None:
 def _checked_values(args, command: str, defaults: dict, price) -> dict:
     """Each flag the command reads, at its default where it was left out (an
     explicit 0 stays 0; a default of None marks a required flag).  Refused
-    before anything is allocated: any other sweep flag, which would be
-    silently ignored, a negative --nmax and a run priced over MEMORY_BUDGET."""
+    before anything is allocated: a sweep flag it would silently ignore, a
+    negative --nmax or --rmax and a run priced over MEMORY_BUDGET."""
     ignored = [f"--{f}" for f in SWEEP_FLAGS if f not in defaults and getattr(args, f, None) is not None]
     if ignored:
         raise ValueError(f"{command} does not take {', '.join(ignored)}")
@@ -117,8 +117,9 @@ def _checked_values(args, command: str, defaults: dict, price) -> dict:
     missing = [f"--{f}" for f, value in values.items() if value is None]
     if missing:
         raise ValueError(f"{command} requires {' and '.join(missing)}")
-    if values.get("nmax", 0) < 0:
-        raise ValueError(f"--nmax must be >= 0, got {values['nmax']}")
+    for flag in ("nmax", "rmax"):
+        if values.get(flag, 0) < 0:
+            raise ValueError(f"--{flag} must be >= 0, got {values[flag]}")
     need = price(**values)
     if need > MEMORY_BUDGET:
         raise ValueError(f"{command} would need about {need / 2**30:.1f} GiB, over the "
@@ -226,7 +227,7 @@ def _thm1_example(r: int, n: int) -> dict:
     """Theorem 1 with S-index n: the terms (-1)^(r-1) S^(r)_{n,k} mu(k) for
     k = r..n, by enumeration, their total, and p(n - r)."""
     sieve, s = build_sieve(n), sr_table_enum(r, n)
-    terms = [(-1) ** (r - 1) * s.count(n, k) * mobius(sieve, k) for k in range(r, n + 1)]
+    terms = [(-1) ** (r - 1) * s.count(n, k) * sieve.mu[k] for k in range(r, n + 1)]
     return {"terms": terms, "total": sum(terms), f"p{n - r}": partition_table_pentagonal(n).value(n - r)}
 
 
@@ -238,7 +239,7 @@ def _corollary_example(which: int, n: int) -> dict:
     sieve, s, p = build_sieve(m), sr_table_enum(r, m), partition_table_pentagonal(n)
     return {
         "count": count_restricted(n, spec["predicate"]),
-        "mobius_sum": -sum(s.count(m, k) * mobius(sieve, k) for k in range(r, m + 1)),
+        "mobius_sum": -sum(s.count(m, k) * sieve.mu[k] for k in range(r, m + 1)),
         "difference": sum(c * p.value(n - shift) for c, shift in spec["diff"]),
     }
 

@@ -9,7 +9,6 @@ up to a capped number of counterexamples as evidence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import accumulate, chain, islice, repeat
 from math import isqrt
 from operator import add, eq, mul, neg, sub
@@ -40,32 +39,36 @@ def _a_support(r: int) -> int:
     return (r - 1) * (r - 2) // 2 + 1
 
 
-@dataclass
 class Counterexample:
     """A failed check; index is the sweep position, e.g. (n,) or (r, n, k)."""
 
-    index: tuple
-    lhs: int
-    rhs: int
+    __slots__ = ("index", "lhs", "rhs")
+
+    def __init__(self, index: tuple, lhs: int, rhs: int):
+        self.index, self.lhs, self.rhs = index, lhs, rhs
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Counterexample):
+            return NotImplemented
+        return (self.index, self.lhs, self.rhs) == (other.index, other.lhs, other.rhs)
 
     def to_dict(self) -> dict:
         return {"index": list(self.index), "lhs": self.lhs, "rhs": self.rhs}
 
 
-@dataclass
 class VerificationReport:
     """Structured pass/fail evidence for one identity over one sweep."""
 
-    identity: str
-    params: dict
-    checked: int = 0
-    failures: int = 0
-    counterexamples: list = field(default_factory=list)
-    cap: int = DEFAULT_COUNTEREXAMPLE_CAP
+    __slots__ = ("identity", "params", "checked", "failures", "counterexamples", "cap")
 
-    def __post_init__(self):
-        if self.cap < 0:
-            raise ValueError(f"counterexample cap must be >= 0, got {self.cap}")
+    def __init__(self, identity: str, params: dict, cap: int = DEFAULT_COUNTEREXAMPLE_CAP):
+        if cap < 0:
+            raise ValueError(f"counterexample cap must be >= 0, got {cap}")
+        self.identity = identity
+        self.params = params
+        self.checked = self.failures = 0
+        self.counterexamples = []
+        self.cap = cap
 
     @property
     def passed(self) -> bool:
@@ -216,8 +219,7 @@ def verify_weighted_corollary(nmax: int, r: int, cap: int = DEFAULT_COUNTEREXAMP
     sieve = build_sieve(max(nmax, 1))
     p = partition_table_pentagonal(nmax)
     sign = (-1) ** (r - 1)
-    # Every part lies in r..n <= nmax, inside the sieve, so mu is read
-    # straight from the table: mobius() would only add its range check.
+    # Every part lies in r..n <= nmax, inside the sieve.
     mu = sieve.mu.__getitem__
     for n in range(nmax + 1):
         parts = chain.from_iterable(enumerate_partitions(n, r))

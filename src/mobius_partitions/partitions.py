@@ -10,7 +10,7 @@ much larger n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import groupby, repeat
 from operator import add, itemgetter, sub
 from typing import Iterator, Sequence
@@ -21,12 +21,10 @@ from mobius_partitions.series import TruncatedSeries, lambert_sum, pochhammer, r
 ENUMERATION_CAP = 45
 
 
-@dataclass(frozen=True)
-class PartitionTable:
+class PartitionTable(namedtuple("PartitionTable", "limit values")):
     """p(0..limit) as exact integers; p(n) = 0 for negative n by convention."""
 
-    limit: int
-    values: tuple
+    __slots__ = ()
 
     def value(self, n: int) -> int:
         if n < 0:

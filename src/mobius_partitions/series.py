@@ -37,16 +37,6 @@ class TruncatedSeries:
     def __setattr__(self, name, value):
         raise AttributeError("TruncatedSeries is immutable")
 
-    @classmethod
-    def one(cls, order: int) -> "TruncatedSeries":
-        return cls((1,), order)
-
-    def coefficient(self, j: int) -> int:
-        """Coefficient of q^j; raises IndexError outside 0..order."""
-        if not 0 <= j <= self.order:
-            raise IndexError(f"index {j} outside 0..{self.order}")
-        return self.coeffs[j]
-
     def _check_same_order(self, other: "TruncatedSeries") -> None:
         if not isinstance(other, TruncatedSeries):
             raise TypeError(f"expected TruncatedSeries, got {type(other).__name__}")

@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from mobius_partitions.arith import build_sieve, mobius
+from mobius_partitions.arith import build_sieve
 from mobius_partitions.cli import main
 from mobius_partitions.identities import (
     build_a,

@@ -4,7 +4,7 @@ import random
 import pytest
 from arith_reference import linear_sieve
 
-from mobius_partitions.arith import MultiplicativeTable, build_sieve, mobius, totient
+from mobius_partitions.arith import MultiplicativeTable, build_sieve
 
 
 def brute_mobius(n):
@@ -35,9 +35,12 @@ def divisors(n):
 
 def test_limit_one():
     t = build_sieve(1)
-    assert mobius(t, 1) == 1
-    assert totient(t, 1) == 1
+    assert t.mu[1] == 1
+    assert t.phi[1] == 1
     assert (t.mu, t.phi) == ((0, 1), (0, 1))
+    with pytest.raises(AttributeError):
+        t.mu = ()
+    assert repr(t) == "MultiplicativeTable(limit=1)"
 
 
 def test_zero_limit_rejected():
@@ -47,26 +50,26 @@ def test_zero_limit_rejected():
 
 def test_known_mu_values():
     t = build_sieve(10)
-    assert mobius(t, 2) == -1
-    assert mobius(t, 4) == 0
-    assert mobius(t, 6) == 1
-    assert mobius(t, 9) == 0
+    assert t.mu[2] == -1
+    assert t.mu[4] == 0
+    assert t.mu[6] == 1
+    assert t.mu[9] == 0
 
 
 def test_mu_against_trial_division():
     t = build_sieve(300)
     for n in range(1, 301):
-        assert mobius(t, n) == brute_mobius(n), n
-    assert mobius(t, 30) == -1
-    assert mobius(t, 13) == -1
+        assert t.mu[n] == brute_mobius(n), n
+    assert t.mu[30] == -1
+    assert t.mu[13] == -1
 
 
 def test_phi_against_gcd_count():
     t = build_sieve(200)
     for n in range(1, 201):
-        assert totient(t, n) == brute_totient(n), n
-    assert totient(t, 2) == 1
-    assert totient(t, 12) == 4
+        assert t.phi[n] == brute_totient(n), n
+    assert t.phi[2] == 1
+    assert t.phi[12] == 4
 
 
 def test_divisor_sum_identities():
@@ -81,17 +84,17 @@ def test_prime_entries():
     t = build_sieve(100)
     # phi(n) = n - 1 exactly when n is prime
     for p in (2, 3, 5, 7, 11, 97):
-        assert mobius(t, p) == -1
-        assert totient(t, p) == p - 1
+        assert t.mu[p] == -1
+        assert t.phi[p] == p - 1
     for n in (1, 4, 6, 9, 100):
-        assert totient(t, n) != n - 1
+        assert t.phi[n] != n - 1
 
 
 def test_mu_zero_iff_squarefull():
     t = build_sieve(500)
     for n in range(2, 501):
         has_square = any(n % (p * p) == 0 for p in range(2, int(n**0.5) + 1))
-        assert (mobius(t, n) == 0) == has_square, n
+        assert (t.mu[n] == 0) == has_square, n
 
 
 def test_multiplicativity_random_coprime_pairs():
@@ -103,18 +106,9 @@ def test_multiplicativity_random_coprime_pairs():
         b = rng.randint(1, 60)
         if math.gcd(a, b) != 1 or a * b > t.limit:
             continue
-        assert mobius(t, a * b) == mobius(t, a) * mobius(t, b)
-        assert totient(t, a * b) == totient(t, a) * totient(t, b)
+        assert t.mu[a * b] == t.mu[a] * t.mu[b]
+        assert t.phi[a * b] == t.phi[a] * t.phi[b]
         pairs += 1
-
-
-def test_out_of_range_raises():
-    t = build_sieve(10)
-    for bad in (0, -1, 11):
-        with pytest.raises(IndexError):
-            mobius(t, bad)
-        with pytest.raises(IndexError):
-            totient(t, bad)
 
 
 @pytest.mark.parametrize("limits", [range(1, 601), [10**5]])

@@ -254,12 +254,15 @@ def test_verify_refuses_csv_format(capsys):
 
 @pytest.mark.parametrize(
     "argv",
-    [["verify", ident] for ident, row in cli.IDENTITIES.items() if "nmax" in row.flags]
-    + [["table", "p"], ["table", "sr", "--r", "1"]],
+    [["verify", ident, "--nmax"] for ident, row in cli.IDENTITIES.items() if "nmax" in row.flags]
+    + [["table", "p", "--nmax"], ["table", "sr", "--r", "1", "--nmax"]]
+    + [["verify", ident, "--rmax"] for ident, row in cli.IDENTITIES.items() if "rmax" in row.flags]
+    + [["table", "a", "--rmax"], ["table", "b", "--rmax"]],
 )
 def test_negative_nmax_names_the_flag(capsys, argv):
-    code, out, err = run(capsys, *argv, "--nmax", "-1")
-    assert (code, out, err) == (2, "", "error: --nmax must be >= 0, got -1\n")
+    # the last item of argv is the flag that gets -1
+    code, out, err = run(capsys, *argv, "-1")
+    assert (code, out, err) == (2, "", f"error: {argv[-1]} must be >= 0, got -1\n")
 
 
 @pytest.fixture
@@ -469,6 +472,8 @@ def test_cli_imports_only_the_standard_library():
     loaded = {name.partition(".")[0] for name in proc.stdout.split()}
     assert "mobius_partitions" in loaded
     assert not loaded - set(sys.stdlib_module_names) - {"mobius_partitions"}
+    # nor the heavy parts of it that dataclasses would pull in
+    assert not loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize"}
 
 
 def test_usage_error_exit_code():

@@ -123,10 +123,9 @@ def test_theorem2_sweep():
 
 def test_theorem2_r3_example():
     # r=3, n=6 gives minus the count of partitions of 6 with no 1's
-    from mobius_partitions.arith import mobius
     sieve = build_sieve(9)
     s3 = sr_table_enum(3, 9)
-    assert sum(s3.count(9, k) * mobius(sieve, k) for k in range(3, 10)) == -4
+    assert sum(s3.count(9, k) * sieve.mu[k] for k in range(3, 10)) == -4
 
 
 def test_weighted_corollary():
@@ -153,10 +152,9 @@ def test_phi_identities():
 
 
 def test_phi_identity_n4_by_hand():
-    from mobius_partitions.arith import totient
     sieve = build_sieve(6)
     s2 = sr_table_enum(2, 6)
-    lhs = sum(s2.count(6, k) * totient(sieve, k) for k in range(2, 7))
+    lhs = sum(s2.count(6, k) * sieve.phi[k] for k in range(2, 7))
     assert lhs == 4 * 1 + 2 * 2 + 1 * 2 + 1 * 2 == 12
     assert lhs == 5 + 3 + 2 + 1 + 1
     assert lhs == sr_table_enum(1, 5).count(5, 1)
@@ -384,7 +382,7 @@ def test_theorem2_injected_error(monkeypatch, cap):
         lhs = lhs_rows[r - 1]
         for n in range(nmax + 1):
             rhs = sum(c * p.value(n - j) for j, c in enumerate(a_rows[r - 1]))
-            triples.append(((r, n), lhs.coefficient(n + r), rhs))
+            triples.append(((r, n), lhs.coeffs[n + r], rhs))
     report = verify_theorem2(nmax, rmax, cap=cap)
     assert _bookkeeping(report) == _bookkeeping(_per_element("thm2", cap, triples))
     assert report.failures == 1 and report.checked == rmax * (nmax + 1)
@@ -467,7 +465,6 @@ def test_sr_oracle_rmax_bounds(monkeypatch):
 
 
 def test_weighted_corollary_matches_per_part_mobius_sums(monkeypatch):
-    from mobius_partitions.arith import mobius
     from mobius_partitions.partitions import PartitionTable, enumerate_partitions
 
     sieve = build_sieve(20)
@@ -477,7 +474,7 @@ def test_weighted_corollary_matches_per_part_mobius_sums(monkeypatch):
     monkeypatch.setattr(identities, "partition_table_pentagonal",
                         lambda limit: PartitionTable(limit, (-1,) * (limit + 1)))
     for r in (1, 2):
-        sums = [(-1) ** (r - 1) * sum(mobius(sieve, k) for parts in enumerate_partitions(n, r) for k in parts)
+        sums = [(-1) ** (r - 1) * sum(sieve.mu[k] for parts in enumerate_partitions(n, r) for k in parts)
                 for n in range(21)]
         report = verify_weighted_corollary(20, r, cap=21)
         assert (report.checked, report.failures) == (21, 21 - r)
