@@ -58,9 +58,8 @@ Identity = namedtuple("Identity", "verifier flags price fixed", defaults=({},))
 # The verifier is looked up by name when it runs, so that a replaced module
 # attribute (a tracer's wrapper, a test double) is the one called.  Dense
 # S^(r) tables have half their cells zero; the a and b rows up to rmax hold
-# about rmax^3/6 small ints each.  thm1 is priced at r = 2, its largest r.
-# prime-alpha's forms i and ii read mu(alpha k) off a sieve to at most
-# alpha (nmax + 2); its alternate form reads mu(k) for k <= nmax + 1 only.
+# about rmax^3/6 small ints each.  thm1 is priced at r = 2, its largest r,
+# and so is prime-alpha, whose every form reads mu(k) for k <= nmax + r only.
 IDENTITIES = {
     "thm1": Identity("verify_theorem1", {"nmax": 100, "r": 1}, lambda nmax, r: _sweep(nmax + 2)),
     "thm2": Identity(
@@ -74,8 +73,7 @@ IDENTITIES = {
     "phi": Identity("verify_phi_identities", {"nmax": 60}, lambda nmax: _sweep(nmax + 2)),
     "prime-alpha": Identity(
         "verify_prime_corollary", {"nmax": 50, "alpha": 2, "which": "i"},
-        lambda nmax, alpha, which: _sweep(nmax + 2)
-        + (0 if which == "alternate-form" else SIEVE_ENTRY_BYTES * alpha * (nmax + 2)),
+        lambda nmax, alpha, which: _sweep(nmax + 2),
     ),
     "b-symmetry": Identity("verify_b_symmetry", {"rmax": 10}, lambda rmax: _ints(rmax**3 // 6, 0)),
     "lemma1": Identity(
@@ -101,8 +99,11 @@ def _emit(text: str, out: Optional[str]) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write {out}: {exc.strerror}") from exc
 
 
 def _checked_values(args, command: str, defaults: dict, price) -> dict:
@@ -234,7 +235,7 @@ def _thm1_example(r: int, n: int) -> dict:
 def _corollary_example(which: int, n: int) -> dict:
     """Corollary `which` at n, each leg by its own route: the enumerated
     count, the Mobius sum by enumeration and the difference of p."""
-    spec = identities._COROLLARY_SPECS[which]
+    spec = identities.COROLLARY_SPECS[which]
     r, m = spec["r"], n + spec["offset"]
     sieve, s, p = build_sieve(m), sr_table_enum(r, m), partition_table_pentagonal(n)
     return {

@@ -24,10 +24,7 @@ from mobius_partitions.partitions import (
     sr_table_enum,
     sr_table_gf,
     sr_tables_enum,
-    weighted_sr_series,
-    weighted_sr_sweep,
-    _lambert_from,
-    _min_part_gfs,
+    weighted_sr_sums,
 )
 from mobius_partitions.series import lambert_sum
 
@@ -186,7 +183,7 @@ def verify_theorem1(nmax: int, r: int, cap: int = DEFAULT_COUNTEREXAMPLE_CAP) ->
         raise ValueError(f"r must be 1 or 2, got {r}")
     report = VerificationReport("thm1", {"nmax": nmax, "r": r}, cap=cap)
     sieve = build_sieve(nmax + r)
-    lhs = weighted_sr_series(r, sieve.mu, nmax + r)
+    lhs = next(weighted_sr_sums([(r, sieve.mu)], nmax + r))
     p = _shifted_p_sums(partition_table_pentagonal(nmax), ((1, 0),), nmax + 1)
     sign = (-1) ** (r - 1)
     report.record_all(lambda n: n, p, list(map(mul, repeat(sign), lhs.coeffs[r : nmax + r + 1])))
@@ -195,13 +192,15 @@ def verify_theorem1(nmax: int, r: int, cap: int = DEFAULT_COUNTEREXAMPLE_CAP) ->
 
 def verify_theorem2(nmax: int, rmax: int, cap: int = DEFAULT_COUNTEREXAMPLE_CAP) -> VerificationReport:
     """sum_k S^(r)_{n+r,k} mu(k) = sum_j a_{r,j} p(n-j) for r <= rmax."""
+    if rmax < 1:
+        raise ValueError(f"rmax must be >= 1, got {rmax}")
     report = VerificationReport("thm2", {"nmax": nmax, "rmax": rmax}, cap=cap)
     sieve = build_sieve(nmax + rmax)
     a_rows = build_a(rmax, sieve)
     p = partition_table_pentagonal(nmax)
     # The left-hand sides come from one Lambert sum per r and never from the
     # a-row recurrence, which the right-hand sides use.
-    lhs_series = weighted_sr_sweep(rmax, sieve.mu, nmax + rmax)
+    lhs_series = weighted_sr_sums(((r, sieve.mu) for r in range(1, rmax + 1)), nmax + rmax)
     for r, lhs, a_row in zip(range(1, rmax + 1), lhs_series, a_rows):
         rhs = _shifted_p_sums(p, ((c, j) for j, c in enumerate(a_row)), nmax + 1)
         report.record_all(lambda n: (r, n), lhs.coeffs[r : nmax + r + 1], rhs)
@@ -229,7 +228,7 @@ def verify_weighted_corollary(nmax: int, r: int, cap: int = DEFAULT_COUNTEREXAMP
 
 # which -> S^(r) table r, S-table index offset, first n, difference of p as
 # (coefficient, shift) terms of p(n - shift), count_restricted predicate
-_COROLLARY_SPECS = {
+COROLLARY_SPECS = {
     # nabla p(n) = p(n) - p(n-1)
     2: dict(r=3, offset=3, nmin=0, diff=((1, 0), (-1, 1)),
             predicate="no-ones"),
@@ -252,13 +251,13 @@ def verify_corollary(which: int, nmax: int, cap: int = DEFAULT_COUNTEREXAMPLE_CA
     The enumeration leg is only checked for n <= ENUMERATION_CAP; the
     difference and Mobius legs cover the full range.
     """
-    if which not in _COROLLARY_SPECS:
+    if which not in COROLLARY_SPECS:
         raise ValueError(f"which must be 2, 3 or 4, got {which}")
-    spec = _COROLLARY_SPECS[which]
+    spec = COROLLARY_SPECS[which]
     offset = spec["offset"]
     report = VerificationReport(f"cor{which}", {"nmax": nmax}, cap=cap)
     sieve = build_sieve(nmax + offset)
-    msum = weighted_sr_series(spec["r"], sieve.mu, nmax + offset)
+    msum = next(weighted_sr_sums([(spec["r"], sieve.mu)], nmax + offset))
     diff = _shifted_p_sums(partition_table_pentagonal(max(nmax, 1)), spec["diff"], nmax + 1)
     mobius_leg = list(map(neg, msum.coeffs[offset:]))
     # both legs per n up to the cap, in that order; past it, one row compare
@@ -276,10 +275,8 @@ def verify_phi_identities(nmax: int, cap: int = DEFAULT_COUNTEREXAMPLE_CAP) -> V
     report = VerificationReport("phi", {"nmax": nmax}, cap=cap)
     order = nmax + 2
     phi = build_sieve(order).phi
-    inv1, inv2 = _min_part_gfs(2, order)
-    s1_phi = inv1 * lambert_sum(phi, order)
-    s2_phi = inv2 * _lambert_from(2, phi, order)
-    s1_ones = inv1 * lambert_sum([0, 1] + [0] * (order - 1), order)
+    ones = [0, 1] + [0] * (order - 1)
+    s1_phi, s1_ones, s2_phi = weighted_sr_sums([(1, phi), (1, ones), (2, phi)], order)
     # Running sums: rhs2(n) = sum_{j<=n} p(j), and rhs1 is the running sum of
     # rhs2 since sum_k (k+1) p(n-k) = sum_{j<=n} (n-j+1) p(j).
     rhs2 = list(accumulate(partition_table_pentagonal(nmax).values))
@@ -291,11 +288,6 @@ def verify_phi_identities(nmax: int, cap: int = DEFAULT_COUNTEREXAMPLE_CAP) -> V
     return report
 
 
-def _mu_scaled_row(alpha: int, order: int) -> tuple:
-    """[mu(alpha k) for k = 0..order], from a sieve to alpha * order."""
-    return build_sieve(alpha * order).mu[::alpha]
-
-
 def _mu_coprime_row(alpha: int, order: int) -> list:
     """[mu(k) if alpha does not divide k else 0, for k = 0..order], from a
     sieve to order."""
@@ -304,14 +296,15 @@ def _mu_coprime_row(alpha: int, order: int) -> list:
     return row
 
 
-# which -> (S^(r) table r, weight row builder(alpha, order), coefficient of
-# p(n+1-alpha^j), coefficient of p(n+2-alpha^(j+1))); the right-hand sides
-# sum over the powers alpha^j <= nmax+1, and at each n the powers past n+1
-# add nothing, since both p arguments are < 0.
+# which -> (S^(r) table r, sign of the row mu(k) [alpha does not divide k],
+# which is -mu(alpha k) for prime alpha, coefficient of p(n+1-alpha^j),
+# coefficient of p(n+2-alpha^(j+1))); the right-hand sides sum over the
+# powers alpha^j <= nmax+1, and at each n the powers past n+1 add nothing,
+# since both p arguments are < 0.
 _PRIME_ALPHA_SPECS = {
-    "i": (1, _mu_scaled_row, -1, 0),
-    "ii": (2, _mu_scaled_row, 1, -1),
-    "alternate-form": (1, _mu_coprime_row, 1, 0),
+    "i": (1, -1, -1, 0),
+    "ii": (2, -1, 1, -1),
+    "alternate-form": (1, 1, 1, 0),
 }
 
 
@@ -329,13 +322,14 @@ def verify_prime_corollary(
     """
     if which not in _PRIME_ALPHA_SPECS:
         raise ValueError(f"which must be i, ii or alternate-form, got {which!r}")
-    r, weight_row, c_this, c_next = _PRIME_ALPHA_SPECS[which]
+    r, sign, c_this, c_next = _PRIME_ALPHA_SPECS[which]
     # trial division first, so that a composite alpha is refused before any
     # sieve is built
     if alpha < 2 or any(alpha % d == 0 for d in range(2, isqrt(alpha) + 1)):
         raise ValueError(f"alpha={alpha} is not prime")
     report = VerificationReport("prime-alpha", {"nmax": nmax, "alpha": alpha, "which": which}, cap=cap)
-    lhs = weighted_sr_series(r, weight_row(alpha, nmax + r), nmax + r)
+    weights = list(map(mul, repeat(sign), _mu_coprime_row(alpha, nmax + r)))
+    lhs = next(weighted_sr_sums([(r, weights)], nmax + r))
     terms = []
     power = 1
     while power <= nmax + 1:
@@ -372,6 +366,8 @@ def verify_lemma1(
         raise ValueError(f"route must be gf or enum, got {route!r}")
     build = sr_table_gf if route == "gf" else sr_table_enum
     report = VerificationReport("lemma1", {"nmax": nmax, "rmax": rmax, "route": route}, cap=cap)
+    if rmax < 1 or nmax < 2:
+        return report
     limit = nmax + rmax
     # Every table is built on its own: one stepped from the table before it
     # would satisfy the lemma by construction.

@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import namedtuple
 from itertools import groupby, repeat
 from operator import add, itemgetter, sub
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from mobius_partitions.series import TruncatedSeries, lambert_sum, pochhammer, reciprocal
 
@@ -209,51 +209,37 @@ def sr_table_gf(r: int, limit: int) -> SrTable:
     return SrTable(r, limit, cols)
 
 
-def weighted_sr_series(r: int, weights: Sequence[int], order: int) -> TruncatedSeries:
-    """sum_k S^(r)_{n,k} w(k) for n = 0..order, as the coefficients of
-    1/(q^r; q)_inf * sum_{k >= r} w(k) q^k/(1-q^k), where weights[k] = w(k)
-    and the row reaches at least index order.
+def weighted_sr_sums(pairs, order: int) -> Iterator[TruncatedSeries]:
+    """For each (r, weights) in pairs, in turn, sum_k S^(r)_{n,k} w(k) for
+    n = 0..order: the coefficients of 1/(q^r; q)_inf * sum_{k >= r} w(k)
+    q^k/(1-q^k), where weights[k] = w(k) for r <= k <= order, the only
+    entries read.  The Lambert factor is built from divisor sums and never
+    simplified, so an identity about it (such as the mu-series collapsing
+    to q) is not assumed here.
 
-    The Lambert factor is built from divisor sums and never simplified, so
-    an identity about it (such as the mu-series collapsing to q) is not
-    assumed here.  Only the entries r <= k <= order are read.
+    One 1/(q; q)_inf is stepped forward to each r, so r must not decrease:
+    1/(q^(r+1); q)_inf = (1 - q^r) * 1/(q^r; q)_inf is one subtraction of
+    the series shifted by r.
     """
-    _check_sr_args(r, order)
-    return _min_part_gf(r, order) * _lambert_from(r, weights, order)
-
-
-def weighted_sr_sweep(rmax: int, weights: Sequence[int], order: int) -> Iterator[TruncatedSeries]:
-    """weighted_sr_series(r, weights, order) for r = 1..rmax, in that order,
-    from one 1/(q; q)_inf (see _min_part_gfs) and one Lambert sum and
-    product per r."""
-    _check_sr_args(rmax, order)
-    for r, inv in enumerate(_min_part_gfs(rmax, order), 1):
-        yield inv * _lambert_from(r, weights, order)
-
-
-def _lambert_from(r: int, weights: Sequence[int], order: int) -> TruncatedSeries:
-    """sum_{k >= r} w(k) q^k/(1-q^k): the row with its entries below r zeroed."""
-    row = [0] * r
-    row += weights[r : order + 1]
-    return lambert_sum(row, order)
+    inv = None
+    for r, weights in pairs:
+        _check_sr_args(r, order)
+        if inv is None:
+            inv, at = list(_min_part_gf(1, order).coeffs), 1
+        if r < at:
+            raise ValueError(f"r must not decrease, got {r} after {at}")
+        for s in range(at, r):
+            inv[s:] = map(sub, inv[s:], inv[:-s])
+        at = r
+        row = [0] * r
+        row += weights[r : order + 1]
+        yield TruncatedSeries(inv, order) * lambert_sum(row, order)
 
 
 def _min_part_gf(r: int, order: int) -> TruncatedSeries:
     """1/(q^r; q)_inf, whose q^n coefficient counts the partitions of n
     with every part >= r."""
     return reciprocal(pochhammer(r, None, order))
-
-
-def _min_part_gfs(rmax: int, order: int) -> Iterator[TruncatedSeries]:
-    """1/(q^r; q)_inf for r = 1..rmax from a single reciprocal.
-
-    Each step is the definition of the product, 1/(q^(r+1); q)_inf =
-    (1 - q^r) * 1/(q^r; q)_inf: one subtraction of the series shifted by r.
-    """
-    inv = list(_min_part_gf(1, order).coeffs)
-    for r in range(1, rmax + 1):
-        yield TruncatedSeries(inv, order)
-        inv[r:] = map(sub, inv[r:], inv[:-r])
 
 
 def check_enumeration_size(n: int) -> None:

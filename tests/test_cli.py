@@ -1,3 +1,4 @@
+import ast
 import csv
 import io
 import json
@@ -86,6 +87,16 @@ def test_table_out_file(tmp_path, capsys):
     code, out, _ = run(capsys, "table", "b", "--rmax", "3", "--format", "csv", "--out", str(path))
     assert code == 0 and out == ""
     assert path.read_text().startswith("r,0,1,2,3")
+
+
+@pytest.mark.parametrize(
+    "argv", [["verify", "thm1", "--nmax", "5"], ["table", "b", "--rmax", "3"], ["examples"]]
+)
+def test_unwritable_out_is_usage_error(tmp_path, capsys, argv):
+    # exit 1 would say that a verification failed
+    path = tmp_path / "missing" / "x"
+    code, out, err = run(capsys, *argv, "--out", str(path))
+    assert (code, out, err) == (2, "", f"error: cannot write {path}: No such file or directory\n")
 
 
 def test_table_missing_params(capsys):
@@ -179,8 +190,19 @@ def test_verify_negative_counterexample_cap_is_usage_error(capsys):
     assert code == 0 and out.startswith("PASS lambert")
 
 
-@pytest.mark.parametrize("argv", [["cor4", "--nmax", "3"], ["lemma1", "--nmax", "1"]])
-def test_verify_checking_nothing_is_usage_error(capsys, argv):
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cor4", "--nmax", "3"],
+        ["lemma1", "--nmax", "1"],
+        ["lemma1", "--nmax", "0", "--rmax", "3"],
+        ["lemma1", "--nmax", "1", "--rmax", "5"],
+    ],
+)
+def test_verify_checking_nothing_is_usage_error(capsys, request, argv):
+    if argv[0] == "lemma1":
+        # refused before the first table
+        request.getfixturevalue("no_allocation")
     code, out, err = run(capsys, "verify", *argv)
     assert code == 2 and out == ""
     assert "checks nothing" in err
@@ -293,7 +315,7 @@ def no_allocation(monkeypatch):
         ["verify", "cor4", "--nmax", "100000000"],
         ["verify", "weighted", "--nmax", "100000000"],
         ["verify", "phi", "--nmax", "100000000"],
-        ["verify", "prime-alpha", "--alpha", "1000003", "--nmax", "1000"],
+        ["verify", "prime-alpha", "--nmax", "100000000"],
         ["verify", "b-symmetry", "--rmax", "5000"],
         ["verify", "lemma1", "--nmax", "100000", "--rmax", "8"],
         ["verify", "lambert", "--nmax", "100000000"],
@@ -302,14 +324,18 @@ def no_allocation(monkeypatch):
         ["table", "b", "--rmax", "5000"],
         ["table", "sr", "--r", "1", "--nmax", "100000"],
         ["table", "p", "--nmax", "100000000"],
-        ["verify", "prime-alpha", "--alpha", "1000003", "--nmax", "1000", "--which", "i"],
-        ["verify", "prime-alpha", "--alpha", "1000003", "--nmax", "1000", "--which", "ii"],
     ],
 )
 def test_oversized_run_is_refused_before_allocating(capsys, no_allocation, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith(f"error: {argv[0]} {argv[1]} would need about") and "GiB limit" in err
+
+
+@pytest.mark.parametrize("nmax", [0, 5])
+def test_thm2_refuses_rmax_0_before_building(capsys, no_allocation, nmax):
+    code, out, err = run(capsys, "verify", "thm2", "--nmax", str(nmax), "--rmax", "0")
+    assert (code, out, err) == (2, "", "error: rmax must be >= 1, got 0\n")
 
 
 @pytest.mark.parametrize("nmax, rmax", [(3, 5), (0, 1)])
@@ -331,7 +357,7 @@ def test_oracle_sr_price_covers_its_peak(nmax, rmax):
 
 
 def test_alternate_form_sieves_only_what_it_reads(capsys, monkeypatch):
-    # mu(k) for k <= nmax + 1, however large alpha is
+    # every form reads mu(k) for k <= nmax + r only, however large alpha is
     limits = []
     real = identities.build_sieve
 
@@ -342,16 +368,19 @@ def test_alternate_form_sieves_only_what_it_reads(capsys, monkeypatch):
         return real(limit)
 
     monkeypatch.setattr(identities, "build_sieve", spy)
-    code, out, err = run(
-        capsys, "verify", "prime-alpha", "--which", "alternate-form", "--alpha", "1000003", "--nmax", "1000"
-    )
-    assert (code, err, limits) == (0, "", [1001])
-    assert out.endswith(": 1001 checks, 0 failures\n")
+    for which, r in (("i", 1), ("ii", 2), ("alternate-form", 1)):
+        limits.clear()
+        code, out, err = run(
+            capsys, "verify", "prime-alpha", "--which", which, "--alpha", "1000003", "--nmax", "1000"
+        )
+        assert (code, err, limits) == (0, "", [1000 + r]), which
+        assert out.endswith(": 1001 checks, 0 failures\n"), which
 
 
 @pytest.mark.parametrize(
     "nmax, alpha, which",
-    [(300, 7, "i"), (300, 7, "ii"), (300, 7, "alternate-form"), (1000, 101, "alternate-form")],
+    [(300, 7, "i"), (300, 7, "ii"), (300, 7, "alternate-form"), (1000, 101, "alternate-form"),
+     (1000, 1000003, "i"), (1000, 1000003, "ii")],
 )
 def test_prime_alpha_price_covers_its_peak(nmax, alpha, which):
     tracemalloc.start()
@@ -474,6 +503,31 @@ def test_cli_imports_only_the_standard_library():
     assert not loaded - set(sys.stdlib_module_names) - {"mobius_partitions"}
     # nor the heavy parts of it that dataclasses would pull in
     assert not loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+
+
+def _private(name):
+    return name.startswith("_") and not name.endswith("__")
+
+
+def test_modules_use_no_private_name_of_another():
+    # a module reaches another package module only through its public names,
+    # whether imported or read as module._name; tests may read private names
+    package = Path(cli.__file__).resolve().parent
+    uses = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        modules = set()  # the names this module binds to package modules
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules.update(a.asname or a.name for a in node.names if a.name.startswith("mobius_partitions"))
+            elif isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("mobius_partitions")):
+                if node.module in (None, "mobius_partitions"):
+                    modules.update(a.asname or a.name for a in node.names)
+                uses += [(path.name, a.name) for a in node.names if _private(a.name)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and _private(node.attr) and ast.unparse(node.value) in modules:
+                uses.append((path.name, f"{ast.unparse(node.value)}.{node.attr}"))
+    assert uses == []
 
 
 def test_usage_error_exit_code():

@@ -185,11 +185,13 @@ def test_prime_corollary_errors():
 
 @pytest.mark.parametrize("alpha", [2, 3, 5, 7])
 def test_prime_alpha_weight_rows_match_linear_sieve(alpha):
+    # forms i and ii weight by the negated row: mu(alpha k) = -mu(k) [alpha
+    # does not divide k] for prime alpha
     mu = linear_sieve(alpha * 200)[0]
     for order in range(1, 201):
         scaled = [mu[alpha * k] for k in range(order + 1)]
         coprime = [mu[k] if k % alpha else 0 for k in range(order + 1)]
-        assert list(identities._mu_scaled_row(alpha, order)) == scaled, order
+        assert [-m for m in identities._mu_coprime_row(alpha, order)] == scaled, order
         assert list(identities._mu_coprime_row(alpha, order)) == coprime, order
 
 
@@ -205,6 +207,8 @@ def test_b_symmetry():
 def test_lemma1_gf_and_enum():
     assert verify_lemma1(40, 5, "gf").passed
     assert verify_lemma1(25, 3, "enum").passed
+    # the smallest range with a check: n = 2, r = 1, k = 2
+    assert verify_lemma1(2, 1).checked == verify_lemma1(2, 1, "enum").checked == 1
     with pytest.raises(ValueError):
         verify_lemma1(10, 2, "magic")
     # the enum route builds tables to nmax + rmax; c07's 40 + 5 is the cap
@@ -361,22 +365,22 @@ def test_b_symmetry_injected_error(monkeypatch, cap):
 def test_theorem2_injected_error(monkeypatch, cap):
     from mobius_partitions.partitions import partition_table_pentagonal
 
-    real = identities.weighted_sr_sweep
+    real = identities.weighted_sr_sums
 
-    def broken(rmax, weights, order):
-        for r, series in enumerate(real(rmax, weights, order), 1):
+    def broken(pairs, order):
+        for r, series in enumerate(real(pairs, order), 1):
             if r == 3:
                 coeffs = list(series.coeffs)
                 coeffs[9 + r] -= 2  # the lhs at (r, n) = (3, 9)
                 series = TruncatedSeries(coeffs, order)
             yield series
 
-    monkeypatch.setattr(identities, "weighted_sr_sweep", broken)
+    monkeypatch.setattr(identities, "weighted_sr_sums", broken)
     nmax, rmax = 25, 5
     a_rows = build_a(rmax, build_sieve(nmax + rmax))
     p = partition_table_pentagonal(nmax)
     sieve = build_sieve(nmax + rmax)
-    lhs_rows = list(broken(rmax, sieve.mu, nmax + rmax))
+    lhs_rows = list(broken(((r, sieve.mu) for r in range(1, rmax + 1)), nmax + rmax))
     triples = []
     for r in range(1, rmax + 1):
         lhs = lhs_rows[r - 1]
@@ -485,10 +489,11 @@ def test_weighted_corollary_matches_per_part_mobius_sums(monkeypatch):
 def test_dense_sweeps_do_not_step_the_inverse(monkeypatch):
     from mobius_partitions import partitions
 
-    def refuse(rmax, order):
+    def refuse(pairs, order):
         raise AssertionError("stepped inverse used")
 
-    monkeypatch.setattr(partitions, "_min_part_gfs", refuse)
+    for module in (partitions, identities):
+        monkeypatch.setattr(module, "weighted_sr_sums", refuse)
     for rep in (verify_lemma1(30, 5), verify_lemma1(20, 3, "enum"), verify_sr_oracle(25, 4)):
         assert rep.passed and rep.checked > 0, rep.summary()
 
@@ -559,7 +564,7 @@ def test_corollary_terms_are_the_differences():
             for n in range(101)],
     }
     for which, diffs in expected.items():
-        terms = identities._COROLLARY_SPECS[which]["diff"]
+        terms = identities.COROLLARY_SPECS[which]["diff"]
         assert identities._shifted_p_sums(p, terms, 101) == diffs, which
 
 
@@ -634,9 +639,9 @@ def test_theorem1_injected_errors(monkeypatch, cap):
 
 @pytest.mark.parametrize("cap", [1, 10])
 def test_phi_injected_errors(monkeypatch, cap):
-    # products in order: s1_phi, s2_phi, s1_ones; the checks at n are
+    # products in order: s1_phi, s1_ones, s2_phi; the checks at n are
     # s1_phi(n+1) = rhs1, s2_phi(n+2) = rhs2, rhs2 = s1_ones(n+1)
-    _bump_products(monkeypatch, [(0, 5 + 1, 1), (1, 5 + 2, 1), (2, 3 + 1, 1)])
+    _bump_products(monkeypatch, [(0, 5 + 1, 1), (2, 5 + 2, 1), (1, 3 + 1, 1)])
     report = verify_phi_identities(30, cap=cap)
     assert report.checked == 3 * 31
     # p = 1, 1, 2, 3, 5, 7: rhs2(3) = 7, rhs2(5) = 19, rhs1(5) = 45

@@ -14,10 +14,9 @@ from mobius_partitions.partitions import (
     sr_table_enum,
     sr_table_gf,
     sr_tables_enum,
-    weighted_sr_series,
-    weighted_sr_sweep,
+    weighted_sr_sums,
 )
-from mobius_partitions.series import pochhammer, reciprocal
+from mobius_partitions.series import TruncatedSeries, lambert_sum, pochhammer, reciprocal
 from partitions_reference import (
     backward_difference,
     pentagonal_while_loop,
@@ -261,27 +260,35 @@ def test_weighted_sr_series_matches_enumeration(r):
         "mu, 3 not dividing k": [0] + [sieve.mu[k] if k % 3 else 0 for k in range(1, 31)],
         "k == 1": [0, 1] + [0] * 29,
     }
-    oracle = sr_table_enum(r, 30)
-    for name, w in weights.items():
-        series = weighted_sr_series(r, w, 30)
+    # one call: every weight at r, then every weight at r + 1
+    pairs = [(s, name) for s in (r, r + 1) for name in weights]
+    sums = weighted_sr_sums(((s, weights[name]) for s, name in pairs), 30)
+    oracles = {s: sr_table_enum(s, 30) for s in (r, r + 1)}
+    for (s, name), series in zip(pairs, sums, strict=True):
         for n in range(31):
-            want = sum(oracle.count(n, k) * w[k] for k in range(r, n + 1))
-            assert series.coeffs[n] == want, (name, n)
+            want = sum(oracles[s].count(n, k) * weights[name][k] for k in range(s, n + 1))
+            assert series.coeffs[n] == want, (s, name, n)
 
 
-def test_stepped_inverses_match_reciprocal():
-    for order in (0, 1, 5, 11, 12, 13, 150):
-        stepped = list(partitions._min_part_gfs(12, order))
-        assert len(stepped) == 12
-        for r, inv in enumerate(stepped, 1):
-            assert inv == reciprocal(pochhammer(r, None, order)), (order, r)
+def test_stepped_inverses_match_reciprocal(monkeypatch):
+    # with the Lambert factor replaced by 1, each sum is the inverse at its r
+    monkeypatch.setattr(partitions, "lambert_sum", lambda row, order: TruncatedSeries([1], order))
+    for order in (1, 5, 11, 12, 13, 150):
+        for rs in (range(1, 13), (1, 1, 3, 3, 7, 12)):
+            rs = [r for r in rs if r <= order]
+            sums = list(weighted_sr_sums(((r, [0] * (order + 1)) for r in rs), order))
+            assert len(sums) == len(rs)
+            for r, inv in zip(rs, sums):
+                assert inv == reciprocal(pochhammer(r, None, order)), (order, r)
 
 
-def test_weighted_sr_sweep_matches_weighted_sr_series():
+def test_weighted_sr_sums_match_one_inverse_per_r():
     sieve = build_sieve(80)
     for w in (sieve.mu, sieve.phi):
-        sweep = list(weighted_sr_sweep(9, w, 80))
-        assert sweep == [weighted_sr_series(r, w, 80) for r in range(1, 10)]
+        sweep = list(weighted_sr_sums(((r, w) for r in range(1, 10)), 80))
+        assert sweep == [
+            partitions._min_part_gf(r, 80) * lambert_sum([0] * r + list(w[r:81]), 80) for r in range(1, 10)
+        ]
 
 
 def test_weighted_sr_ignores_entries_below_r():
@@ -289,9 +296,10 @@ def test_weighted_sr_ignores_entries_below_r():
     junk = [3**k + 5 for k in range(61)]
     for r in range(1, 8):
         # entries 0..r-1 are junk in one row and zero in the other
-        clean = weighted_sr_series(r, [0] * r + list(mu[r:]), 60)
-        assert weighted_sr_series(r, junk[:r] + list(mu[r:]), 60) == clean
-        assert list(weighted_sr_sweep(r, junk[:r] + list(mu[r:]), 60))[-1] == clean
+        clean_row, junk_row = [0] * r + list(mu[r:]), junk[:r] + list(mu[r:])
+        clean, dirty = weighted_sr_sums([(r, clean_row), (r, junk_row)], 60)
+        assert dirty == clean
+        assert list(weighted_sr_sums(((s, junk_row) for s in range(1, r + 1)), 60))[-1] == clean
 
 
 def test_sr_bad_args():
@@ -301,14 +309,16 @@ def test_sr_bad_args():
         sr_table_enum(4, 3)
     with pytest.raises(ValueError, match="capped"):
         sr_table_enum(1, ENUMERATION_CAP + 1)
-    with pytest.raises(ValueError):
-        weighted_sr_series(4, [0] * 4, 3)
-    with pytest.raises(ValueError):
-        list(weighted_sr_sweep(4, [0] * 4, 3))
+    with pytest.raises(ValueError, match="smaller than r=4"):
+        list(weighted_sr_sums([(4, [0] * 4)], 3))
+    with pytest.raises(ValueError, match="r must be >= 1"):
+        list(weighted_sr_sums([(0, [0] * 4)], 3))
     with pytest.raises(ValueError, match="shorter than order"):
-        weighted_sr_series(2, [0] * 5, 5)
+        list(weighted_sr_sums([(2, [0] * 5)], 5))
     with pytest.raises(ValueError, match="shorter than order"):
-        list(weighted_sr_sweep(2, [0] * 5, 5))
+        list(weighted_sr_sums([(1, [0] * 6), (2, [0] * 5)], 5))
+    with pytest.raises(ValueError, match="must not decrease, got 2 after 3"):
+        list(weighted_sr_sums([(1, [0] * 11), (3, [0] * 11), (2, [0] * 11)], 10))
 
 
 def test_backward_difference():
