@@ -324,6 +324,8 @@ def no_allocation(monkeypatch):
         ["table", "b", "--rmax", "5000"],
         ["table", "sr", "--r", "1", "--nmax", "100000"],
         ["table", "p", "--nmax", "100000000"],
+        ["verify", "prime-alpha", "--nmax", "100000000", "--which", "i"],
+        ["verify", "prime-alpha", "--nmax", "100000000", "--which", "ii"],
     ],
 )
 def test_oversized_run_is_refused_before_allocating(capsys, no_allocation, argv):
