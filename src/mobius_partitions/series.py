@@ -8,7 +8,9 @@ re-truncating, which would hide off-by-one errors in identity sweeps.
 
 from __future__ import annotations
 
-from itertools import repeat
+from bisect import bisect_right
+from collections import deque
+from itertools import compress, repeat
 from math import isqrt
 from operator import add
 from typing import Iterable, Optional, Sequence
@@ -20,7 +22,7 @@ class TruncatedSeries:
     __slots__ = ("order", "coeffs")
 
     def __init__(self, coeffs: Iterable[int], order: Optional[int] = None):
-        coeffs = tuple(map(int, coeffs))
+        coeffs = tuple(coeffs)
         if order is None:
             if not coeffs:
                 raise ValueError("empty coefficient list and no order given")
@@ -199,12 +201,7 @@ def lambert_sum(weights: Sequence[int], order: int) -> TruncatedSeries:
     never read.
 
     The coefficient of q^n is the divisor sum of w over the divisors of n,
-    since q^k/(1-q^k) contributes 1 at every positive multiple of k.  The
-    row gives the pair k = n.  Of every other divisor pair k m = n (m >= 2),
-    k <= s or k > s with s = isqrt(order): each k <= s adds w(k) to 2k,
-    3k, ... in one slice update, and each cofactor m adds w(s+1), w(s+2),
-    ... to m(s+1), m(s+2), ... in one more, so about 2 sqrt(order) slice
-    updates replace order * H(order) single adds.
+    since q^k/(1-q^k) contributes 1 at every positive multiple of k.
     """
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
@@ -212,32 +209,53 @@ def lambert_sum(weights: Sequence[int], order: int) -> TruncatedSeries:
         raise ValueError(f"weight row of length {len(weights)} is shorter than order + 1 = {order + 1}")
     out = [0]
     out += weights[1 : order + 1]
-    s = isqrt(order)
-    # w(k) for the k > s that some cofactor m >= 2 reaches, before any update
-    high = out[s + 1 : order // 2 + 1]
-    for m in range(2, order // (s + 1) + 1):
-        _add_at(out, m * (s + 1), m, order // m - s, iter(high))
-    del high
-    # Largest k first: the cofactor updates wrote only above 2s, and below
-    # that out[k] is written only by the smaller divisors of k, so it still
-    # holds w(k) when k is reached.
-    for k in range(s, 0, -1):
-        if out[k]:
-            _add_at(out, 2 * k, k, order // k - 1, repeat(out[k]))
+    _divisor_sums(out)
     return TruncatedSeries(out, order)
 
 
-# Slice updates in lambert_sum run in pieces of at most this many terms, so
-# that their temporary lists stay small next to the full-length output.
-_SLICE_PIECE = 1 << 15
+def _divisor_sums(out: list) -> None:
+    """Replace out[n] by the sum of out[d] over the divisors d of n, for
+    every n >= 1, in place.
 
-
-def _add_at(out: list, start: int, step: int, count: int, values) -> None:
-    """out[start + i step] += the next item of the iterator values, i < count.
-
-    map pulls from values only after out[piece] has yielded, so values
-    advances by exactly count items over all pieces.
+    It is built one prime at a time (a zeta transform over the divisor
+    lattice): once every prime p <= order = len(out) - 1 has added out[k]
+    to out[k p], k rising, out[n] holds the divisor sum, about
+    order log log order adds in all.  The primes come from a sieve of
+    Eratosthenes of the kernel's own, so that a check of the sieve in arith
+    against this kernel shares no code with it.  With s = isqrt(order):
+    - each p <= s makes one slice update per block of sources k in
+      [p^e, p^(e+1)); the block's sources were the previous block's
+      targets, so they are final when read;
+    - each p > s divides n <= order at most once, and every cofactor
+      k <= order // (s+1) is at most s, so out[k] is final after the
+      small primes: one gather, add and scatter per nonzero cofactor k
+      covers k p for every p in (s, order // k].
+    The primes and the scatter's index lists die with the call, before the
+    caller copies out.
     """
-    for lo in range(0, count, _SLICE_PIECE):
-        piece = slice(start + lo * step, start + min(count, lo + _SLICE_PIECE) * step, step)
-        out[piece] = map(add, out[piece], values)
+    order = len(out) - 1
+    primes = _primes_upto(order)
+    s = isqrt(order)
+    small = bisect_right(primes, s)
+    for p in primes[:small]:
+        lo = 1
+        while lo <= order // p:
+            hi = min(lo * p, order // p + 1)
+            block = slice(lo * p, hi * p, p)
+            out[block] = map(add, out[block], out[lo:hi])
+            lo *= p
+    for k in range(1, order // (s + 1) + 1):
+        v = out[k]
+        if v:
+            targets = list(map(k.__mul__, primes[small : bisect_right(primes, order // k)]))
+            sums = map(add, map(out.__getitem__, targets), repeat(v))
+            deque(map(out.__setitem__, targets, sums), maxlen=0)  # runs the scatter
+
+
+def _primes_upto(n: int) -> list:
+    """The primes <= n, by a bytearray sieve of Eratosthenes."""
+    is_prime = bytearray([0, 0]) + bytearray([1]) * (n - 1)
+    for p in range(2, isqrt(n) + 1):
+        if is_prime[p]:
+            is_prime[p * p :: p] = bytes(len(range(p * p, n + 1, p)))
+    return list(compress(range(n + 1), is_prime))

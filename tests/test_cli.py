@@ -394,6 +394,17 @@ def test_prime_alpha_price_covers_its_peak(nmax, alpha, which):
     assert peak <= cli.IDENTITIES["prime-alpha"].price(nmax=nmax, alpha=alpha, which=which)
 
 
+def test_lambert_price_covers_its_peak():
+    nmax = 200_000
+    tracemalloc.start()
+    try:
+        identities.verify_lambert(nmax)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= cli.IDENTITIES["lambert"].price(nmax=nmax)
+
+
 @pytest.mark.parametrize(
     "command, name, values",
     [
@@ -498,7 +509,7 @@ def test_cli_imports_only_the_standard_library():
         "print(*sorted(set(sys.modules) - before))\n"
     )
     proc = subprocess.run(
-        [sys.executable, "-I", "-c", code, str(src)], capture_output=True, text=True, timeout=60, check=True
+        [sys.executable, "-I", "-B", "-c", code, str(src)], capture_output=True, text=True, timeout=60, check=True
     )
     loaded = {name.partition(".")[0] for name in proc.stdout.split()}
     assert "mobius_partitions" in loaded

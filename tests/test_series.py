@@ -1,5 +1,7 @@
+import ast
 import inspect
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -224,14 +226,20 @@ _LAMBERT_WEIGHTS = (0, 0, 1, -1, 2, -3, 2**100, -(2**100))
 _ISQRT_STEPS = sorted({t * t + d for t in range(1, 21) for d in (-1, 0)} | {0, 1, 2, 3})
 
 
-@pytest.mark.parametrize("piece", [1, 5, series._SLICE_PIECE])
-def test_lambert_matches_divisor_loop_at_every_order(monkeypatch, piece):
-    # small pieces put the seams of the chunked slice updates inside 0..400
-    monkeypatch.setattr(series, "_SLICE_PIECE", piece)
+def test_lambert_matches_divisor_loop_at_every_order():
     rng = random.Random(5)
     weights = [rng.choice(_LAMBERT_WEIGHTS) for _ in range(401)]
     for order in range(401):
         assert lambert_sum(weights, order).coeffs == divisor_loop_lambert(weights, order), order
+
+
+def test_lambert_matches_divisor_loop_at_a_large_order():
+    # small primes over many blocks (2^14 < 30 011 < 2^15), and primes past
+    # isqrt(30 011) = 173 reached from many cofactors, up to 30 011 // 174
+    order = 30_011
+    rng = random.Random(13)
+    weights = [rng.choice(_LAMBERT_WEIGHTS) for _ in range(order + 1)]
+    assert lambert_sum(weights, order).coeffs == divisor_loop_lambert(weights, order)
 
 
 @settings(max_examples=80, deadline=None)
@@ -244,6 +252,20 @@ def test_lambert_matches_divisor_loop(order, rng):
     weights = [7] + [rng.choice(_LAMBERT_WEIGHTS) for _ in range(order)] + [2**64, -1]
     assert lambert_sum(weights, order).coeffs == divisor_loop_lambert(weights, order)
     assert lambert_sum(weights, order) == lambert_sum([0] + weights[1 : order + 1], order)
+
+
+def test_series_imports_no_other_package_module():
+    # verify lambert checks the sieve's mu in arith against lambert_sum, so
+    # series must share no code with the rest of the package
+    tree = ast.parse(Path(series.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+    assert "math" in imported
+    assert [m for m in imported if m.startswith((".", "mobius_partitions"))] == []
 
 
 def test_lambert_refuses_short_row():
