@@ -226,8 +226,10 @@ _LAMBERT_WEIGHTS = (0, 0, 1, -1, 2, -3, 2**100, -(2**100))
 _ISQRT_STEPS = sorted({t * t + d for t in range(1, 21) for d in (-1, 0)} | {0, 1, 2, 3})
 
 
-def test_lambert_matches_divisor_loop_at_every_order():
-    rng = random.Random(5)
+@pytest.mark.parametrize("seed", [1, 5, 32768])
+def test_lambert_matches_divisor_loop_at_every_order(seed):
+    # each seed puts its zeros, which the kernel skips as cofactors, elsewhere
+    rng = random.Random(seed)
     weights = [rng.choice(_LAMBERT_WEIGHTS) for _ in range(401)]
     for order in range(401):
         assert lambert_sum(weights, order).coeffs == divisor_loop_lambert(weights, order), order
