@@ -33,8 +33,10 @@ EXIT_NUMERIC = 3
 
 # A run priced above this many bytes is refused before anything is allocated.
 MEMORY_BUDGET = 2 << 30
-# tracemalloc peak of build_sieve per entry, at limits 10^5 and 10^6
-SIEVE_ENTRY_BYTES = 67
+# tracemalloc peak per entry of each sieve row at limits 10^5 and 10^6, with
+# a fifth added: 17.0 B for build_sieve's mu, 48.0 B for totient_row's phi
+MU_ENTRY_BYTES = 21
+PHI_ENTRY_BYTES = 58
 
 
 def _ints(count: int, n: int) -> int:
@@ -43,10 +45,11 @@ def _ints(count: int, n: int) -> int:
     return count * (36 + isqrt(max(n, 0)) // 2)
 
 
-def _sweep(order: int) -> int:
-    """Bytes of a generating-function sweep to this order: its sieve and
-    about ten p-sized ints per n (6 to 7 measured at order 2000 to 10000)."""
-    return SIEVE_ENTRY_BYTES * order + _ints(10 * (order + 1), order)
+def _sweep(order: int, entry_bytes: int = MU_ENTRY_BYTES) -> int:
+    """Bytes of a generating-function sweep to this order: its sieve row at
+    entry_bytes per entry and about ten p-sized ints per n (6 to 7 measured
+    at order 2000 to 10000)."""
+    return entry_bytes * order + _ints(10 * (order + 1), order)
 
 
 # A verify row: the verifier's name in identities (its parameters are named
@@ -70,7 +73,7 @@ IDENTITIES = {
     "cor3": Identity("verify_corollary", {"nmax": 45}, lambda nmax: _sweep(nmax + 5), {"which": 3}),
     "cor4": Identity("verify_corollary", {"nmax": 45}, lambda nmax: _sweep(nmax + 5), {"which": 4}),
     "weighted": Identity("verify_weighted_corollary", {"nmax": 30, "r": 1}, lambda nmax, r: _sweep(nmax)),
-    "phi": Identity("verify_phi_identities", {"nmax": 60}, lambda nmax: _sweep(nmax + 2)),
+    "phi": Identity("verify_phi_identities", {"nmax": 60}, lambda nmax: _sweep(nmax + 2, PHI_ENTRY_BYTES)),
     "prime-alpha": Identity(
         "verify_prime_corollary", {"nmax": 50, "alpha": 2, "which": "i"},
         lambda nmax, alpha, which: _sweep(nmax + 2),
@@ -81,7 +84,7 @@ IDENTITIES = {
         lambda nmax, rmax: _ints((nmax + rmax + 1) ** 2, nmax + rmax),
     ),
     "lambert": Identity(
-        "verify_lambert", {"nmax": 200}, lambda nmax: SIEVE_ENTRY_BYTES * nmax + _ints(nmax + 1, 0)
+        "verify_lambert", {"nmax": 200}, lambda nmax: MU_ENTRY_BYTES * nmax + _ints(nmax + 1, 0)
     ),
     # one enumerated table per r, held as rows and columns while it is
     # transposed, and one gf table at a time
@@ -227,8 +230,8 @@ def cmd_verify(args) -> int:
 def _thm1_example(r: int, n: int) -> dict:
     """Theorem 1 with S-index n: the terms (-1)^(r-1) S^(r)_{n,k} mu(k) for
     k = r..n, by enumeration, their total, and p(n - r)."""
-    sieve, s = build_sieve(n), sr_table_enum(r, n)
-    terms = [(-1) ** (r - 1) * s.count(n, k) * sieve.mu[k] for k in range(r, n + 1)]
+    mu, s = build_sieve(n), sr_table_enum(r, n)
+    terms = [(-1) ** (r - 1) * s.count(n, k) * mu[k] for k in range(r, n + 1)]
     return {"terms": terms, "total": sum(terms), f"p{n - r}": partition_table_pentagonal(n).value(n - r)}
 
 
@@ -237,10 +240,10 @@ def _corollary_example(which: int, n: int) -> dict:
     count, the Mobius sum by enumeration and the difference of p."""
     spec = identities.COROLLARY_SPECS[which]
     r, m = spec["r"], n + spec["offset"]
-    sieve, s, p = build_sieve(m), sr_table_enum(r, m), partition_table_pentagonal(n)
+    mu, s, p = build_sieve(m), sr_table_enum(r, m), partition_table_pentagonal(n)
     return {
         "count": count_restricted(n, spec["predicate"]),
-        "mobius_sum": -sum(s.count(m, k) * sieve.mu[k] for k in range(r, m + 1)),
+        "mobius_sum": -sum(s.count(m, k) * mu[k] for k in range(r, m + 1)),
         "difference": sum(c * p.value(n - shift) for c, shift in spec["diff"]),
     }
 

@@ -13,7 +13,7 @@ from itertools import accumulate, chain, islice, repeat
 from math import isqrt
 from operator import add, eq, mul, neg, sub
 
-from mobius_partitions.arith import MultiplicativeTable, build_sieve
+from mobius_partitions.arith import build_sieve, totient_row
 from mobius_partitions.partitions import (
     ENUMERATION_CAP,
     PartitionTable,
@@ -129,8 +129,9 @@ def build_b(rmax: int) -> list:
     return rows
 
 
-def build_a(rmax: int, table: MultiplicativeTable) -> list:
-    """Rows a_{r,.} for r = 1..rmax from the recurrence.
+def build_a(rmax: int, mu: tuple) -> list:
+    """Rows a_{r,.} for r = 1..rmax from the recurrence, reading mu(r)
+    from a sieve row that reaches rmax.
 
     a_{r+1,j} = a_{r,j+1} - mu(r) b_{r,j+1} - a_{r,j+1-r} (last term only
     for j+1 >= r), starting from a_1 = [1].  The recurrence is evaluated on
@@ -139,12 +140,12 @@ def build_a(rmax: int, table: MultiplicativeTable) -> list:
     """
     if rmax < 1:
         raise ValueError(f"rmax must be >= 1, got {rmax}")
-    if table.limit < rmax:
-        raise ValueError(f"sieve limit {table.limit} < rmax {rmax}")
+    if len(mu) <= rmax:
+        raise ValueError(f"sieve limit {len(mu) - 1} < rmax {rmax}")
     rows = [[1]]
     for r, b_prev in zip(range(1, rmax), build_b(rmax)):
         prev = rows[-1]
-        mu_r = table.mu[r]
+        mu_r = mu[r]
         span = (r + 1) * (r + 2) // 2 + 1
         # a_{r,j+1}, b_{r,j+1} and a_{r,j+1-r} at j = 0, 1, ..., zero
         # outside each row
@@ -182,8 +183,7 @@ def verify_theorem1(nmax: int, r: int, cap: int = DEFAULT_COUNTEREXAMPLE_CAP) ->
     if r not in (1, 2):
         raise ValueError(f"r must be 1 or 2, got {r}")
     report = VerificationReport("thm1", {"nmax": nmax, "r": r}, cap=cap)
-    sieve = build_sieve(nmax + r)
-    lhs = next(weighted_sr_sums([(r, sieve.mu)], nmax + r))
+    lhs = next(weighted_sr_sums([(r, build_sieve(nmax + r))], nmax + r))
     p = _shifted_p_sums(partition_table_pentagonal(nmax), ((1, 0),), nmax + 1)
     sign = (-1) ** (r - 1)
     report.record_all(lambda n: n, p, list(map(mul, repeat(sign), lhs.coeffs[r : nmax + r + 1])))
@@ -195,12 +195,12 @@ def verify_theorem2(nmax: int, rmax: int, cap: int = DEFAULT_COUNTEREXAMPLE_CAP)
     if rmax < 1:
         raise ValueError(f"rmax must be >= 1, got {rmax}")
     report = VerificationReport("thm2", {"nmax": nmax, "rmax": rmax}, cap=cap)
-    sieve = build_sieve(nmax + rmax)
-    a_rows = build_a(rmax, sieve)
+    mu = build_sieve(nmax + rmax)
+    a_rows = build_a(rmax, mu)
     p = partition_table_pentagonal(nmax)
     # The left-hand sides come from one Lambert sum per r and never from the
     # a-row recurrence, which the right-hand sides use.
-    lhs_series = weighted_sr_sums(((r, sieve.mu) for r in range(1, rmax + 1)), nmax + rmax)
+    lhs_series = weighted_sr_sums(((r, mu) for r in range(1, rmax + 1)), nmax + rmax)
     for r, lhs, a_row in zip(range(1, rmax + 1), lhs_series, a_rows):
         rhs = _shifted_p_sums(p, ((c, j) for j, c in enumerate(a_row)), nmax + 1)
         report.record_all(lambda n: (r, n), lhs.coeffs[r : nmax + r + 1], rhs)
@@ -215,11 +215,10 @@ def verify_weighted_corollary(nmax: int, r: int, cap: int = DEFAULT_COUNTEREXAMP
         raise ValueError(f"r must be 1 or 2, got {r}")
     check_enumeration_size(nmax)
     report = VerificationReport("weighted", {"nmax": nmax, "r": r}, cap=cap)
-    sieve = build_sieve(max(nmax, 1))
+    # Every part lies in r..n <= nmax, inside the sieve.
+    mu = build_sieve(max(nmax, 1)).__getitem__
     p = partition_table_pentagonal(nmax)
     sign = (-1) ** (r - 1)
-    # Every part lies in r..n <= nmax, inside the sieve.
-    mu = sieve.mu.__getitem__
     for n in range(nmax + 1):
         parts = chain.from_iterable(enumerate_partitions(n, r))
         report.record(n, p.value(n - r), sign * sum(map(mu, parts)))
@@ -256,8 +255,7 @@ def verify_corollary(which: int, nmax: int, cap: int = DEFAULT_COUNTEREXAMPLE_CA
     spec = COROLLARY_SPECS[which]
     offset = spec["offset"]
     report = VerificationReport(f"cor{which}", {"nmax": nmax}, cap=cap)
-    sieve = build_sieve(nmax + offset)
-    msum = next(weighted_sr_sums([(spec["r"], sieve.mu)], nmax + offset))
+    msum = next(weighted_sr_sums([(spec["r"], build_sieve(nmax + offset))], nmax + offset))
     diff = _shifted_p_sums(partition_table_pentagonal(max(nmax, 1)), spec["diff"], nmax + 1)
     mobius_leg = list(map(neg, msum.coeffs[offset:]))
     # both legs per n up to the cap, in that order; past it, one row compare
@@ -274,7 +272,7 @@ def verify_phi_identities(nmax: int, cap: int = DEFAULT_COUNTEREXAMPLE_CAP) -> V
     and sum_k S^(2)_{n+2,k} phi(k) = sum_k p(n-k) = S^(1)_{n+1,1}."""
     report = VerificationReport("phi", {"nmax": nmax}, cap=cap)
     order = nmax + 2
-    phi = build_sieve(order).phi
+    phi = totient_row(order)
     ones = [0, 1] + [0] * (order - 1)
     s1_phi, s1_ones, s2_phi = weighted_sr_sums([(1, phi), (1, ones), (2, phi)], order)
     # Running sums: rhs2(n) = sum_{j<=n} p(j), and rhs1 is the running sum of
@@ -291,7 +289,7 @@ def verify_phi_identities(nmax: int, cap: int = DEFAULT_COUNTEREXAMPLE_CAP) -> V
 def _mu_coprime_row(alpha: int, order: int) -> list:
     """[mu(k) if alpha does not divide k else 0, for k = 0..order], from a
     sieve to order."""
-    row = list(build_sieve(order).mu)
+    row = list(build_sieve(order))
     row[::alpha] = [0] * (order // alpha + 1)
     return row
 
@@ -384,8 +382,7 @@ def verify_lemma1(
 def verify_lambert(nmax: int, cap: int = DEFAULT_COUNTEREXAMPLE_CAP) -> VerificationReport:
     """The Lambert series sum_k mu(k) q^k/(1-q^k) collapses to q exactly."""
     report = VerificationReport("lambert", {"nmax": nmax}, cap=cap)
-    sieve = build_sieve(max(nmax, 1))
-    series = lambert_sum(sieve.mu, nmax)
+    series = lambert_sum(build_sieve(max(nmax, 1)), nmax)
     expected = [0] * (nmax + 1)
     if nmax >= 1:
         expected[1] = 1

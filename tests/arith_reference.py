@@ -1,8 +1,9 @@
 """Reference sieve for the arith module, kept for the tests.
 
-The linear sieve `mobius_partitions.arith.build_sieve` replaced: each
-composite m is crossed out exactly once, as n * p with p = spf(m).  It
-shares no code with the module it checks.
+A linear sieve: each composite m is crossed out exactly once, as n * p
+with p = spf(m).  Its mu row checks `mobius_partitions.arith.build_sieve`
+and its phi row `totient_row`.  It shares no code with the module it
+checks.
 """
 
 

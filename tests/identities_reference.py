@@ -9,7 +9,7 @@ frozen rows and against the q-Pochhammer coefficients.
 from mobius_partitions.identities import build_b
 
 
-def closure_build_a(rmax, table):
+def closure_build_a(rmax, mu):
     """Rows a_{r,.} for r = 1..rmax: a_{r+1,j} = a_{r,j+1} - mu(r) b_{r,j+1}
     - a_{r,j+1-r}, the last term only for j+1 >= r, each row cut to
     (r-1)(r-2)/2 + 1 entries."""
@@ -18,7 +18,7 @@ def closure_build_a(rmax, table):
     for r in range(1, rmax):
         prev = rows[-1]
         b_prev = b_rows[r - 1]
-        mu_r = table.mu[r]
+        mu_r = mu[r]
 
         def a_prev(j):
             return prev[j] if 0 <= j < len(prev) else 0

@@ -14,7 +14,7 @@ import pytest
 from mobius_partitions import cli, identities
 from mobius_partitions.cli import main
 from mobius_partitions.identities import build_a, build_b
-from mobius_partitions.arith import build_sieve
+from mobius_partitions.arith import build_sieve, totient_row
 from mobius_partitions.partitions import sr_table_enum
 
 
@@ -251,6 +251,7 @@ def test_verify_composite_alpha_builds_no_sieve(capsys, monkeypatch):
         raise AssertionError("sieve built")
 
     monkeypatch.setattr(identities, "build_sieve", refuse)
+    monkeypatch.setattr(identities, "totient_row", refuse)
     code, out, err = run(capsys, "verify", "prime-alpha", "--alpha", "4", "--nmax", "5")
     assert code == 2 and out == ""
     assert err.startswith("error:") and "not prime" in err
@@ -295,7 +296,7 @@ def no_allocation(monkeypatch):
         raise AssertionError("allocated")
 
     names = (
-        "build_sieve", "build_a", "build_b", "sr_table_gf", "sr_table_enum", "sr_tables_enum",
+        "build_sieve", "totient_row", "build_a", "build_b", "sr_table_gf", "sr_table_enum", "sr_tables_enum",
         "partition_table_pentagonal",
     )
     for module in (cli, identities):
@@ -403,6 +404,20 @@ def test_lambert_price_covers_its_peak():
     finally:
         tracemalloc.stop()
     assert peak <= cli.IDENTITIES["lambert"].price(nmax=nmax)
+
+
+@pytest.mark.parametrize(
+    "build, entry_bytes", [(build_sieve, cli.MU_ENTRY_BYTES), (totient_row, cli.PHI_ENTRY_BYTES)]
+)
+def test_sieve_price_covers_its_peak(build, entry_bytes):
+    limit = 10**5
+    tracemalloc.start()
+    try:
+        build(limit)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= entry_bytes * limit
 
 
 @pytest.mark.parametrize(

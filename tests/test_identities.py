@@ -1,7 +1,7 @@
 import pytest
 
 from mobius_partitions import identities
-from mobius_partitions.arith import build_sieve
+from mobius_partitions.arith import build_sieve, totient_row
 from mobius_partitions.identities import (
     VerificationReport,
     build_a,
@@ -32,11 +32,11 @@ def test_build_a_matches_reference_rows(a_rows):
 
 
 def test_build_a_matches_closure_loop():
-    sieve = build_sieve(60)
-    reference = closure_build_a(60, sieve)
+    mu = build_sieve(60)
+    reference = closure_build_a(60, mu)
     # row r does not depend on rmax, so every rmax is a prefix of one run
     for rmax in range(1, 61):
-        assert build_a(rmax, sieve) == reference[:rmax], rmax
+        assert build_a(rmax, mu) == reference[:rmax], rmax
 
 
 def test_build_a_support_check_fires(monkeypatch):
@@ -94,13 +94,13 @@ def test_report_keeps_full_index():
 
 
 def test_theorem1_worked_examples():
-    sieve = build_sieve(10)
+    mu = build_sieve(10)
     s1 = sr_table_enum(1, 5)
-    terms = [s1.count(5, k) * sieve.mu[k] for k in range(1, 6)]
+    terms = [s1.count(5, k) * mu[k] for k in range(1, 6)]
     assert terms == [12, -4, -2, 0, -1]
     assert sum(terms) == 5
     s2 = sr_table_enum(2, 6)
-    assert -sum(s2.count(6, k) * sieve.mu[k] for k in range(2, 7)) == 5
+    assert -sum(s2.count(6, k) * mu[k] for k in range(2, 7)) == 5
 
 
 def test_theorem1_base_case():
@@ -123,9 +123,9 @@ def test_theorem2_sweep():
 
 def test_theorem2_r3_example():
     # r=3, n=6 gives minus the count of partitions of 6 with no 1's
-    sieve = build_sieve(9)
+    mu = build_sieve(9)
     s3 = sr_table_enum(3, 9)
-    assert sum(s3.count(9, k) * sieve.mu[k] for k in range(3, 10)) == -4
+    assert sum(s3.count(9, k) * mu[k] for k in range(3, 10)) == -4
 
 
 def test_weighted_corollary():
@@ -152,9 +152,9 @@ def test_phi_identities():
 
 
 def test_phi_identity_n4_by_hand():
-    sieve = build_sieve(6)
+    phi = totient_row(6)
     s2 = sr_table_enum(2, 6)
-    lhs = sum(s2.count(6, k) * sieve.phi[k] for k in range(2, 7))
+    lhs = sum(s2.count(6, k) * phi[k] for k in range(2, 7))
     assert lhs == 4 * 1 + 2 * 2 + 1 * 2 + 1 * 2 == 12
     assert lhs == 5 + 3 + 2 + 1 + 1
     assert lhs == sr_table_enum(1, 5).count(5, 1)
@@ -165,8 +165,8 @@ def test_prime_corollary_small_case():
     rep = verify_prime_corollary(1, 2, "i")
     assert rep.passed
     s1 = sr_table_enum(1, 2)
-    sieve = build_sieve(8)
-    assert s1.count(2, 1) * sieve.mu[2] + s1.count(2, 2) * sieve.mu[4] == -2
+    mu = build_sieve(8)
+    assert s1.count(2, 1) * mu[2] + s1.count(2, 2) * mu[4] == -2
 
 
 def test_prime_corollary_sweeps():
@@ -379,8 +379,8 @@ def test_theorem2_injected_error(monkeypatch, cap):
     nmax, rmax = 25, 5
     a_rows = build_a(rmax, build_sieve(nmax + rmax))
     p = partition_table_pentagonal(nmax)
-    sieve = build_sieve(nmax + rmax)
-    lhs_rows = list(broken(((r, sieve.mu) for r in range(1, rmax + 1)), nmax + rmax))
+    mu = build_sieve(nmax + rmax)
+    lhs_rows = list(broken(((r, mu) for r in range(1, rmax + 1)), nmax + rmax))
     triples = []
     for r in range(1, rmax + 1):
         lhs = lhs_rows[r - 1]
@@ -471,14 +471,14 @@ def test_sr_oracle_rmax_bounds(monkeypatch):
 def test_weighted_corollary_matches_per_part_mobius_sums(monkeypatch):
     from mobius_partitions.partitions import PartitionTable, enumerate_partitions
 
-    sieve = build_sieve(20)
+    mu = build_sieve(20)
     # a p table that is wrong everywhere, so that every n >= r is a
     # counterexample whose rhs is the enumerated side; below r both sides
     # are 0, since p(< 0) = 0 and there is no partition to sum over
     monkeypatch.setattr(identities, "partition_table_pentagonal",
                         lambda limit: PartitionTable(limit, (-1,) * (limit + 1)))
     for r in (1, 2):
-        sums = [(-1) ** (r - 1) * sum(sieve.mu[k] for parts in enumerate_partitions(n, r) for k in parts)
+        sums = [(-1) ** (r - 1) * sum(mu[k] for parts in enumerate_partitions(n, r) for k in parts)
                 for n in range(21)]
         report = verify_weighted_corollary(20, r, cap=21)
         assert (report.checked, report.failures) == (21, 21 - r)

@@ -3,7 +3,7 @@ import inspect
 import pytest
 
 from mobius_partitions import partitions
-from mobius_partitions.arith import build_sieve
+from mobius_partitions.arith import build_sieve, totient_row
 from mobius_partitions.partitions import (
     ENUMERATION_CAP,
     SrTable,
@@ -251,13 +251,13 @@ def test_sr_tables_enum_bad_args():
 
 @pytest.mark.parametrize("r", range(1, 7))
 def test_weighted_sr_series_matches_enumeration(r):
-    sieve = build_sieve(90)
+    mu = build_sieve(90)
     weights = {
-        "mu": sieve.mu,
-        "phi": sieve.phi,
-        "mu(2k)": [0] + [sieve.mu[2 * k] for k in range(1, 31)],
-        "mu(3k)": [0] + [sieve.mu[3 * k] for k in range(1, 31)],
-        "mu, 3 not dividing k": [0] + [sieve.mu[k] if k % 3 else 0 for k in range(1, 31)],
+        "mu": mu,
+        "phi": totient_row(90),
+        "mu(2k)": [0] + [mu[2 * k] for k in range(1, 31)],
+        "mu(3k)": [0] + [mu[3 * k] for k in range(1, 31)],
+        "mu, 3 not dividing k": [0] + [mu[k] if k % 3 else 0 for k in range(1, 31)],
         "k == 1": [0, 1] + [0] * 29,
     }
     # one call: every weight at r, then every weight at r + 1
@@ -283,8 +283,7 @@ def test_stepped_inverses_match_reciprocal(monkeypatch):
 
 
 def test_weighted_sr_sums_match_one_inverse_per_r():
-    sieve = build_sieve(80)
-    for w in (sieve.mu, sieve.phi):
+    for w in (build_sieve(80), totient_row(80)):
         sweep = list(weighted_sr_sums(((r, w) for r in range(1, 10)), 80))
         assert sweep == [
             partitions._min_part_gf(r, 80) * lambert_sum([0] * r + list(w[r:81]), 80) for r in range(1, 10)
@@ -292,7 +291,7 @@ def test_weighted_sr_sums_match_one_inverse_per_r():
 
 
 def test_weighted_sr_ignores_entries_below_r():
-    mu = build_sieve(60).mu
+    mu = build_sieve(60)
     junk = [3**k + 5 for k in range(61)]
     for r in range(1, 8):
         # entries 0..r-1 are junk in one row and zero in the other
