@@ -47,8 +47,8 @@ def _ints(count: int, n: int) -> int:
 
 def _sweep(order: int, entry_bytes: int = MU_ENTRY_BYTES) -> int:
     """Bytes of a generating-function sweep to this order: its sieve row at
-    entry_bytes per entry and about ten p-sized ints per n (6 to 7 measured
-    at order 2000 to 10000)."""
+    entry_bytes per entry and about ten p-sized ints per n (6 to 9 measured
+    for thm1 at order 3000 to 20000)."""
     return entry_bytes * order + _ints(10 * (order + 1), order)
 
 
@@ -73,7 +73,12 @@ IDENTITIES = {
     "cor3": Identity("verify_corollary", {"nmax": 45}, lambda nmax: _sweep(nmax + 5), {"which": 3}),
     "cor4": Identity("verify_corollary", {"nmax": 45}, lambda nmax: _sweep(nmax + 5), {"which": 4}),
     "weighted": Identity("verify_weighted_corollary", {"nmax": 30, "r": 1}, lambda nmax, r: _sweep(nmax)),
-    "phi": Identity("verify_phi_identities", {"nmax": 60}, lambda nmax: _sweep(nmax + 2, PHI_ENTRY_BYTES)),
+    # phi holds two of its weighted series while it builds the third: three
+    # more p-sized ints per n (9 to 11 in all measured at order 3000 to 20000)
+    "phi": Identity(
+        "verify_phi_identities", {"nmax": 60},
+        lambda nmax: _sweep(nmax + 2, PHI_ENTRY_BYTES) + _ints(3 * (nmax + 3), nmax + 2),
+    ),
     "prime-alpha": Identity(
         "verify_prime_corollary", {"nmax": 50, "alpha": 2, "which": "i"},
         lambda nmax, alpha, which: _sweep(nmax + 2),

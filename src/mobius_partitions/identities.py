@@ -322,7 +322,9 @@ def verify_prime_corollary(
         raise ValueError(f"which must be i, ii or alternate-form, got {which!r}")
     r, sign, c_this, c_next = _PRIME_ALPHA_SPECS[which]
     # trial division first, so that a composite alpha is refused before any
-    # sieve is built
+    # sieve is built; the bound keeps it to 10^6 steps
+    if alpha > 10**12:
+        raise ValueError(f"alpha={alpha} is over 10^12, the largest alpha tested for primality")
     if alpha < 2 or any(alpha % d == 0 for d in range(2, isqrt(alpha) + 1)):
         raise ValueError(f"alpha={alpha} is not prime")
     report = VerificationReport("prime-alpha", {"nmax": nmax, "alpha": alpha, "which": which}, cap=cap)

@@ -15,7 +15,7 @@ from itertools import groupby, repeat
 from operator import add, itemgetter, sub
 from typing import Iterator
 
-from mobius_partitions.series import TruncatedSeries, lambert_sum, pochhammer, reciprocal
+from mobius_partitions.series import TruncatedSeries, lambert_sum, pochhammer_inverse
 
 # Full enumeration stays sub-second up to about here (p(45) ~ 89k partitions).
 ENUMERATION_CAP = 45
@@ -72,7 +72,7 @@ def partition_table_gf(limit: int) -> PartitionTable:
     """p(0..limit) as the coefficients of 1/(q;q)_inf."""
     if limit < 0:
         raise ValueError(f"limit must be >= 0, got {limit}")
-    return PartitionTable(limit, _min_part_gf(1, limit).coeffs)
+    return PartitionTable(limit, pochhammer_inverse(1, limit).coeffs)
 
 
 def enumerate_partitions(n: int, min_part: int = 1) -> Iterator[list]:
@@ -198,7 +198,7 @@ def sr_table_gf(r: int, limit: int) -> SrTable:
     _check_sr_args(r, limit)
     # a list, not the tuple: short tuple slices would stay behind in
     # CPython's tuple free lists
-    inv = list(_min_part_gf(r, limit).coeffs)
+    inv = list(pochhammer_inverse(r, limit).coeffs)
     size = limit + 1
     cols = [[0] * size for _ in range(size)]
     for k in range(r, size):
@@ -225,7 +225,7 @@ def weighted_sr_sums(pairs, order: int) -> Iterator[TruncatedSeries]:
     for r, weights in pairs:
         _check_sr_args(r, order)
         if inv is None:
-            inv, at = list(_min_part_gf(1, order).coeffs), 1
+            inv, at = list(pochhammer_inverse(1, order).coeffs), 1
         if r < at:
             raise ValueError(f"r must not decrease, got {r} after {at}")
         for s in range(at, r):
@@ -234,12 +234,6 @@ def weighted_sr_sums(pairs, order: int) -> Iterator[TruncatedSeries]:
         row = [0] * r
         row += weights[r : order + 1]
         yield TruncatedSeries(inv, order) * lambert_sum(row, order)
-
-
-def _min_part_gf(r: int, order: int) -> TruncatedSeries:
-    """1/(q^r; q)_inf, whose q^n coefficient counts the partitions of n
-    with every part >= r."""
-    return reciprocal(pochhammer(r, None, order))
 
 
 def check_enumeration_size(n: int) -> None:

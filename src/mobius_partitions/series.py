@@ -125,7 +125,7 @@ def _pack(a: Sequence[int], width: int) -> int:
     return pos - neg
 
 
-# Below this many terms the online convolution in pochhammer runs as a
+# Below this many terms the online convolution in _log_solve runs as a
 # plain double loop.
 _POCHHAMMER_BASE = 32
 
@@ -140,9 +140,8 @@ def pochhammer(start: int, factors: Optional[int], order: int) -> TruncatedSerie
     The product G over the exponent set S is found from its logarithmic
     derivative: q G'/G = -sum_k sigma_S(k) q^k, with sigma_S(k) the sum of
     the m in S dividing k, so n G_n = -sum_{k=1..n} sigma_S(k) G_{n-k}.
-    sigma_S is the Lambert sum of the row holding m at each m in S and 0
-    elsewhere, and the recurrence is solved by divide-and-conquer online
-    convolution: each solved half is folded into the next with one _mul.
+    -sigma_S is the Lambert sum of the row holding -m at each m in S and 0
+    elsewhere, and _log_solve solves the recurrence.
     """
     if start < 1:
         raise ValueError(f"start must be >= 1, got {start}")
@@ -150,49 +149,53 @@ def pochhammer(start: int, factors: Optional[int], order: int) -> TruncatedSerie
         raise ValueError(f"factor count must be >= 0, got {factors}")
     stop = order + 1 if factors is None else min(start + factors, order + 1)
     weights = [0] * (order + 1)
-    weights[start:stop] = range(start, stop)
-    sigma = lambert_sum(weights, order).coeffs
+    weights[start:stop] = range(-start, -stop, -1)
+    return _log_solve(lambert_sum(weights, order).coeffs, order)
+
+
+def pochhammer_inverse(start: int, order: int) -> TruncatedSeries:
+    """1/(q^start; q)_inf modulo q^(order+1), whose q^n coefficient counts
+    the partitions of n with every part >= start.
+
+    Its logarithmic derivative is that of (q^start; q)_inf negated, so it
+    is _log_solve of the Lambert sum of the row holding +m at each
+    m >= start; at start = 1 this is Euler's n p(n) = sum_k sigma(k) p(n-k).
+    """
+    if start < 1:
+        raise ValueError(f"start must be >= 1, got {start}")
+    weights = [0] * (order + 1)
+    weights[start:] = range(start, order + 1)
+    return _log_solve(lambert_sum(weights, order).coeffs, order)
+
+
+def _log_solve(sigma: Sequence[int], order: int) -> TruncatedSeries:
+    """The series g modulo q^(order+1) with g_0 = 1 and
+    n g_n = sum_{k=1..n} sigma[k] g_{n-k}, which is q g'/g = sum_k sigma[k] q^k.
+
+    The recurrence is solved by divide-and-conquer online convolution: once
+    g[lo:mid] is solved, its product with sigma is added by one _mul into
+    the unsolved slots g[mid:hi].  So when the plain loop over [lo, hi)
+    reaches g[n], the slot already holds the terms of the sum with j < lo,
+    and the loop adds those with lo <= j < n.
+    """
     g = [1] + [0] * order
-    # acc[n] holds sum sigma[n-j] g[j] over the j already folded in.
-    acc = [0] * (order + 1)
 
     def solve(lo: int, hi: int) -> None:
         if hi - lo <= _POCHHAMMER_BASE:
             for n in range(max(lo, 1), hi):
-                total = acc[n] + sum(sigma[n - j] * g[j] for j in range(lo, n))
-                g[n] = -total // n  # exact: n G_n is the sum
+                g[n] = (g[n] + sum(sigma[n - j] * g[j] for j in range(lo, n))) // n  # exact: n g_n is the sum
             return
         mid = (lo + hi) // 2
         solve(lo, mid)
         part = _mul(g[lo:mid], sigma[: hi - lo], hi - lo - 1)
-        for n in range(mid, hi):
-            acc[n] += part[n - lo]
+        g[mid:hi] = map(add, g[mid:hi], part[mid - lo :])
         solve(mid, hi)
 
     solve(0, order + 1)
+    # solve's closure holds solve itself; deleting it frees g and sigma now,
+    # not at the next garbage collection
+    del solve
     return TruncatedSeries(g, order)
-
-
-def reciprocal(a: TruncatedSeries) -> TruncatedSeries:
-    """Multiplicative inverse modulo q^(order+1); constant term must be +-1.
-
-    Newton iteration (Brent & Kung, JACM 25, 1978): if a g = 1 + O(q^k) then
-    g (2 - a g) = 1/a + O(q^2k), so each step doubles the known terms.
-    """
-    c0 = a.coeffs[0]
-    if c0 not in (1, -1):
-        raise ValueError(f"constant term {c0} is not a unit (+-1)")
-    n = a.order
-    steps = [n + 1]
-    while steps[-1] > 1:
-        steps.append((steps[-1] + 1) // 2)
-    g = [c0]  # 1/c0 == c0 for c0 in {1, -1}
-    for m in reversed(steps[:-1]):
-        k = len(g)
-        # a g - 1 = q^k e; the new terms k..m-1 are those of -g e q^k.
-        e = _mul(a.coeffs[:m], g, m - 1)[k:]
-        g += [-c for c in _mul(g, e, m - k - 1)]
-    return TruncatedSeries(g, n)
 
 
 def lambert_sum(weights: Sequence[int], order: int) -> TruncatedSeries:

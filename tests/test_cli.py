@@ -126,6 +126,8 @@ def test_verify_each_identity(capsys):
         ("weighted", ["--r", "2", "--nmax", "15"]),
         ("phi", ["--nmax", "30"]),
         ("prime-alpha", ["--alpha", "3", "--nmax", "25", "--which", "ii"]),
+        # the largest prime admitted, below 10^12
+        ("prime-alpha", ["--alpha", "999999999989", "--nmax", "10"]),
         ("b-symmetry", ["--rmax", "8"]),
         ("lemma1", ["--nmax", "20", "--rmax", "3"]),
         ("lambert", ["--nmax", "100"]),
@@ -252,9 +254,11 @@ def test_verify_composite_alpha_builds_no_sieve(capsys, monkeypatch):
 
     monkeypatch.setattr(identities, "build_sieve", refuse)
     monkeypatch.setattr(identities, "totient_row", refuse)
-    code, out, err = run(capsys, "verify", "prime-alpha", "--alpha", "4", "--nmax", "5")
-    assert code == 2 and out == ""
-    assert err.startswith("error:") and "not prime" in err
+    # 10^12 + 39 and 2^61 - 1 are prime, but too large to test by trial division
+    for alpha, reason in ((4, "not prime"), (10**12 + 39, "over 10^12"), (2**61 - 1, "over 10^12")):
+        code, out, err = run(capsys, "verify", "prime-alpha", "--alpha", str(alpha), "--nmax", "5")
+        assert code == 2 and out == "", alpha
+        assert err.startswith("error:") and reason in err, alpha
 
 
 def test_out_of_memory_is_numeric_error(capsys, monkeypatch):
@@ -348,14 +352,19 @@ def test_oracle_sr_refuses_rmax_over_nmax_before_building(capsys, no_allocation,
     assert err == f"error: rmax={rmax} exceeds nmax={nmax}: S^(r) needs r <= nmax\n"
 
 
-@pytest.mark.parametrize("nmax, rmax", [(20, 1), (20, 20)])
-def test_oracle_sr_price_covers_its_peak(nmax, rmax):
+def _traced_peak(call, *args, **kwargs):
+    """The tracemalloc peak of one call, in bytes."""
     tracemalloc.start()
     try:
-        identities.verify_sr_oracle(nmax, rmax)
-        peak = tracemalloc.get_traced_memory()[1]
+        call(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+@pytest.mark.parametrize("nmax, rmax", [(20, 1), (20, 20)])
+def test_oracle_sr_price_covers_its_peak(nmax, rmax):
+    peak = _traced_peak(identities.verify_sr_oracle, nmax, rmax)
     assert peak <= cli.IDENTITIES["oracle-sr"].price(nmax=nmax, rmax=rmax)
 
 
@@ -386,23 +395,23 @@ def test_alternate_form_sieves_only_what_it_reads(capsys, monkeypatch):
      (1000, 1000003, "i"), (1000, 1000003, "ii")],
 )
 def test_prime_alpha_price_covers_its_peak(nmax, alpha, which):
-    tracemalloc.start()
-    try:
-        identities.verify_prime_corollary(nmax, alpha, which)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = _traced_peak(identities.verify_prime_corollary, nmax, alpha, which)
     assert peak <= cli.IDENTITIES["prime-alpha"].price(nmax=nmax, alpha=alpha, which=which)
+
+
+@pytest.mark.parametrize(
+    "name, values", [("thm1", {"nmax": 3000, "r": 2}), ("cor4", {"nmax": 3000}), ("phi", {"nmax": 3000})],
+    ids=["thm1", "cor4", "phi"],
+)
+def test_sweep_price_covers_its_peak(name, values):
+    row = cli.IDENTITIES[name]
+    peak = _traced_peak(getattr(identities, row.verifier), **row.fixed, **values)
+    assert peak <= row.price(**values)
 
 
 def test_lambert_price_covers_its_peak():
     nmax = 200_000
-    tracemalloc.start()
-    try:
-        identities.verify_lambert(nmax)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = _traced_peak(identities.verify_lambert, nmax)
     assert peak <= cli.IDENTITIES["lambert"].price(nmax=nmax)
 
 
@@ -411,13 +420,7 @@ def test_lambert_price_covers_its_peak():
 )
 def test_sieve_price_covers_its_peak(build, entry_bytes):
     limit = 10**5
-    tracemalloc.start()
-    try:
-        build(limit)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= entry_bytes * limit
+    assert _traced_peak(build, limit) <= entry_bytes * limit
 
 
 @pytest.mark.parametrize(

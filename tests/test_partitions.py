@@ -16,7 +16,7 @@ from mobius_partitions.partitions import (
     sr_tables_enum,
     weighted_sr_sums,
 )
-from mobius_partitions.series import TruncatedSeries, lambert_sum, pochhammer, reciprocal
+from mobius_partitions.series import TruncatedSeries, lambert_sum, pochhammer_inverse
 from partitions_reference import (
     backward_difference,
     pentagonal_while_loop,
@@ -193,7 +193,7 @@ def test_sr_zero_outside_support():
 
 @pytest.mark.parametrize("r", range(1, 7))
 def test_sr_gf_matches_triple_loop(r):
-    inv = partitions._min_part_gf(r, 60).coeffs
+    inv = pochhammer_inverse(r, 60).coeffs
     # S^(r)_{n,k} does not depend on the limit, so one reference table at 60
     # holds every smaller one in its corner
     want = triple_loop_sr_rows(inv, r, 60)
@@ -270,7 +270,7 @@ def test_weighted_sr_series_matches_enumeration(r):
             assert series.coeffs[n] == want, (s, name, n)
 
 
-def test_stepped_inverses_match_reciprocal(monkeypatch):
+def test_stepped_inverses_match_pochhammer_inverse(monkeypatch):
     # with the Lambert factor replaced by 1, each sum is the inverse at its r
     monkeypatch.setattr(partitions, "lambert_sum", lambda row, order: TruncatedSeries([1], order))
     for order in (1, 5, 11, 12, 13, 150):
@@ -279,14 +279,14 @@ def test_stepped_inverses_match_reciprocal(monkeypatch):
             sums = list(weighted_sr_sums(((r, [0] * (order + 1)) for r in rs), order))
             assert len(sums) == len(rs)
             for r, inv in zip(rs, sums):
-                assert inv == reciprocal(pochhammer(r, None, order)), (order, r)
+                assert inv == pochhammer_inverse(r, order), (order, r)
 
 
 def test_weighted_sr_sums_match_one_inverse_per_r():
     for w in (build_sieve(80), totient_row(80)):
         sweep = list(weighted_sr_sums(((r, w) for r in range(1, 10)), 80))
         assert sweep == [
-            partitions._min_part_gf(r, 80) * lambert_sum([0] * r + list(w[r:81]), 80) for r in range(1, 10)
+            pochhammer_inverse(r, 80) * lambert_sum([0] * r + list(w[r:81]), 80) for r in range(1, 10)
         ]
 
 
