@@ -52,6 +52,14 @@ def _sweep(order: int, entry_bytes: int = MU_ENTRY_BYTES) -> int:
     return entry_bytes * order + _ints(10 * (order + 1), order)
 
 
+def _row_family(rmax: int) -> int:
+    """Bytes of the a rows or of the b rows for r = 1..rmax: about rmax^3/6
+    ints, those of row r under r/3 bits (max |a_{r,j}| and max |b_{r,j}|
+    measured about 0.27 r bits at r = 200 to 400), so r/24 bytes more than
+    a small int for each of row r's r^2/2 entries: rmax^4/192 in all."""
+    return _ints(rmax**3 // 6, 0) + rmax**4 // 192
+
+
 # A verify row: the verifier's name in identities (its parameters are named
 # like the flags), the flags it reads -> their defaults, the bytes a run
 # needs from the flag values, and the arguments that no flag sets.
@@ -60,14 +68,14 @@ Identity = namedtuple("Identity", "verifier flags price fixed", defaults=({},))
 
 # The verifier is looked up by name when it runs, so that a replaced module
 # attribute (a tracer's wrapper, a test double) is the one called.  Dense
-# S^(r) tables have half their cells zero; the a and b rows up to rmax hold
-# about rmax^3/6 small ints each.  thm1 is priced at r = 2, its largest r,
+# S^(r) tables have half their cells zero; thm2 holds both row families
+# (build_a keeps every b row).  thm1 is priced at r = 2, its largest r,
 # and so is prime-alpha, whose every form reads mu(k) for k <= nmax + r only.
 IDENTITIES = {
     "thm1": Identity("verify_theorem1", {"nmax": 100, "r": 1}, lambda nmax, r: _sweep(nmax + 2)),
     "thm2": Identity(
         "verify_theorem2", {"nmax": 60, "rmax": 6},
-        lambda nmax, rmax: _sweep(nmax + rmax) + _ints(rmax**3 // 3, 0),
+        lambda nmax, rmax: _sweep(nmax + rmax) + 2 * _row_family(rmax),
     ),
     "cor2": Identity("verify_corollary", {"nmax": 45}, lambda nmax: _sweep(nmax + 5), {"which": 2}),
     "cor3": Identity("verify_corollary", {"nmax": 45}, lambda nmax: _sweep(nmax + 5), {"which": 3}),
@@ -83,16 +91,18 @@ IDENTITIES = {
         "verify_prime_corollary", {"nmax": 50, "alpha": 2, "which": "i"},
         lambda nmax, alpha, which: _sweep(nmax + 2),
     ),
-    "b-symmetry": Identity("verify_b_symmetry", {"rmax": 10}, lambda rmax: _ints(rmax**3 // 6, 0)),
+    "b-symmetry": Identity("verify_b_symmetry", {"rmax": 10}, _row_family),
+    # the tables for r and r + 1 at once: (N+1)^2 slots each, about half of
+    # them holding p-sized ints (one table measures 19 to 28 B per cell)
     "lemma1": Identity(
         "verify_lemma1", {"nmax": 40, "rmax": 5},
-        lambda nmax, rmax: _ints((nmax + rmax + 1) ** 2, nmax + rmax),
+        lambda nmax, rmax: (8 + _ints(1, nmax + rmax)) * (nmax + rmax + 1) ** 2,
     ),
     "lambert": Identity(
         "verify_lambert", {"nmax": 200}, lambda nmax: MU_ENTRY_BYTES * nmax + _ints(nmax + 1, 0)
     ),
-    # one enumerated table per r, held as rows and columns while it is
-    # transposed, and one gf table at a time
+    # one enumerated table per r, all filled by one scan, and one gf table
+    # at a time, every cell priced as a p-sized int
     "oracle-sr": Identity(
         "verify_sr_oracle", {"nmax": 30, "rmax": 4},
         lambda nmax, rmax: _ints((rmax + 1) * (nmax + 1) ** 2, nmax),
@@ -189,10 +199,10 @@ Table = namedtuple("Table", "flags price build text", defaults=(_table_text,))
 # again as text.
 TABLES = {
     "a": Table(
-        ("rmax",), lambda rmax: 3 * _ints(rmax**3 // 3, 0),
+        ("rmax",), lambda rmax: 6 * _row_family(rmax),
         lambda rmax: _coefficient_rows(build_a(rmax, build_sieve(max(rmax, 1)))),
     ),
-    "b": Table(("rmax",), lambda rmax: 3 * _ints(rmax**3 // 6, 0), lambda rmax: _coefficient_rows(build_b(rmax))),
+    "b": Table(("rmax",), lambda rmax: 3 * _row_family(rmax), lambda rmax: _coefficient_rows(build_b(rmax))),
     "sr": Table(("r", "nmax"), lambda r, nmax: 3 * _ints((nmax + 1) ** 2, nmax) // 2, _sr_rows),
     "p": Table(
         ("nmax",), lambda nmax: 3 * _ints(nmax + 1, nmax), _p_rows,

@@ -118,18 +118,18 @@ def enumerate_partitions(n: int, min_part: int = 1) -> Iterator[list]:
 
 
 class SrTable:
-    """Dense table of S^(r)_{n,k} for 0 <= n <= limit, read-only after build.
+    """Dense table of S^(r)_{n,k} for 0 <= n, k <= limit, read-only after build.
 
-    Stored by column: _cols[k][n] = S^(r)_{n,k}, every column of length
-    limit + 1 and zero wherever k < r or k > n.
+    Stored as one flat list in row-major order, _cells[n * (limit + 1) + k]
+    = S^(r)_{n,k}, zero wherever k < r or k > n, so a row is one slice.
     """
 
-    __slots__ = ("r", "limit", "_cols")
+    __slots__ = ("r", "limit", "_cells")
 
-    def __init__(self, r: int, limit: int, cols):
+    def __init__(self, r: int, limit: int, cells):
         self.r = r
         self.limit = limit
-        self._cols = cols
+        self._cells = cells
 
     def count(self, n: int, k: int) -> int:
         """S^(r)_{n,k}; zero for k < r or k > n (including k beyond limit)."""
@@ -137,7 +137,7 @@ class SrTable:
             raise IndexError(f"n={n} outside 0..{self.limit}")
         if k < self.r or k > n:
             return 0
-        return self._cols[k][n]
+        return self._cells[n * (self.limit + 1) + k]
 
     def row(self, n: int, lo: int, hi: int) -> list:
         """[S^(r)_{n,k} for k = lo..hi], empty when hi < lo; lo and hi
@@ -146,12 +146,13 @@ class SrTable:
             raise IndexError(f"n={n} outside 0..{self.limit}")
         if lo < 0 or hi > self.limit:
             raise IndexError(f"columns {lo}..{hi} outside 0..{self.limit}")
-        return list(map(itemgetter(n), self._cols[lo : hi + 1]))
+        start = n * (self.limit + 1)
+        return self._cells[start + lo : start + hi + 1]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SrTable):
             return NotImplemented
-        return (self.r, self.limit, self._cols) == (other.r, other.limit, other._cols)
+        return (self.r, self.limit, self._cells) == (other.r, other.limit, other._cells)
 
 
 def sr_table_enum(r: int, limit: int) -> SrTable:
@@ -173,8 +174,8 @@ def sr_tables_enum(rlo: int, rhi: int, limit: int) -> list:
     _check_sr_args(rhi, limit)
     check_enumeration_size(limit)
     size = limit + 1
-    # tables[r - rlo][n][k], rows below n = rlo left zero
-    tables = [[[0] * size for _ in range(size)] for _ in range(rlo, rhi + 1)]
+    # the cells of S^(r) for r = rlo..rhi, rows below n = rlo left zero
+    tables = [[0] * (size * size) for _ in range(rlo, rhi + 1)]
     for n in range(rlo, size):
         buckets = [[0] * size for _ in range(rlo, rhi + 1)]
         for smallest, group in groupby(enumerate_partitions(n, rlo), itemgetter(0)):
@@ -183,30 +184,29 @@ def sr_tables_enum(rlo: int, rhi: int, limit: int) -> list:
                 for k in parts:
                     bucket[k] += 1
         row = repeat(0, size)
-        for rows, bucket in zip(reversed(tables), reversed(buckets)):
-            row = rows[n] = list(map(add, row, bucket))
-    return [SrTable(r, limit, list(map(list, zip(*rows)))) for r, rows in enumerate(tables, rlo)]
+        for cells, bucket in zip(reversed(tables), reversed(buckets)):
+            row = cells[n * size : (n + 1) * size] = list(map(add, row, bucket))
+    return [SrTable(r, limit, cells) for r, cells in enumerate(tables, rlo)]
 
 
 def sr_table_gf(r: int, limit: int) -> SrTable:
     """S^(r) via coefficient extraction from q^k/(1-q^k) * 1/(q^r; q)_inf.
 
     Column k is that series, so S^(r)_{n,k} = inv[n-k] + S^(r)_{n-k,k}
-    with inv = 1/(q^r; q)_inf: each block of k entries is the one before
-    it plus a window of inv, one slice update per block.
+    with inv = 1/(q^r; q)_inf.  The cells S^(r)_{n-k,k}, k = n down to r,
+    run down the anti-diagonal from (0, n) with stride limit, so row n,
+    written backwards, is inv[0..n-r] plus that slice: one update per row.
     """
     _check_sr_args(r, limit)
     # a list, not the tuple: short tuple slices would stay behind in
     # CPython's tuple free lists
     inv = list(pochhammer_inverse(r, limit).coeffs)
     size = limit + 1
-    cols = [[0] * size for _ in range(size)]
-    for k in range(r, size):
-        col = cols[k]
-        for b in range(k, size, k):
-            end = min(b + k, size)
-            col[b:end] = map(add, inv[b - k : end - k], col[b - k : end - k])
-    return SrTable(r, limit, cols)
+    cells = [0] * (size * size)
+    for n in range(r, size):
+        diagonal = cells[n : (n - r) * size + r + 1 : limit]
+        cells[n * size + n : n * size + r - 1 : -1] = map(add, inv[: n - r + 1], diagonal)
+    return SrTable(r, limit, cells)
 
 
 def weighted_sr_sums(pairs, order: int) -> Iterator[TruncatedSeries]:

@@ -1,6 +1,6 @@
 """Reference builders for the partitions module, kept for the tests.
 
-`triple_loop_sr_rows` is the triple loop that the column-built
+`triple_loop_sr_rows` is the triple loop that the slice-built
 `sr_table_gf` replaced, and `pentagonal_while_loop` the per-n loop that the
 sliding-sum `partition_table_pentagonal` replaced.  Neither shares code with
 the module it checks.  `per_part_sr_rows` is the loop that the bucketed

@@ -400,8 +400,13 @@ def test_prime_alpha_price_covers_its_peak(nmax, alpha, which):
 
 
 @pytest.mark.parametrize(
-    "name, values", [("thm1", {"nmax": 3000, "r": 2}), ("cor4", {"nmax": 3000}), ("phi", {"nmax": 3000})],
-    ids=["thm1", "cor4", "phi"],
+    "name, values",
+    [
+        ("thm1", {"nmax": 3000, "r": 2}), ("cor4", {"nmax": 3000}), ("phi", {"nmax": 3000}),
+        ("lemma1", {"nmax": 120, "rmax": 8}), ("lemma1", {"nmax": 200, "rmax": 2}),
+        ("lemma1", {"nmax": 300, "rmax": 8}), ("b-symmetry", {"rmax": 200}),
+    ],
+    ids=["thm1", "cor4", "phi", "lemma1-120-8", "lemma1-200-2", "lemma1-300-8", "b-symmetry-200"],
 )
 def test_sweep_price_covers_its_peak(name, values):
     row = cli.IDENTITIES[name]

@@ -401,7 +401,7 @@ def test_lemma1_injected_errors(monkeypatch, cap):
         table = real(r, limit)
         if r in wrong:
             n, k = wrong[r]
-            table._cols[k][n] += 1
+            table._cells[n * (limit + 1) + k] += 1
         return table
 
     monkeypatch.setattr(identities, "sr_table_gf", broken)
