@@ -195,17 +195,55 @@ def _sr_rows(r, nmax):
 Table = namedtuple("Table", "flags price build text", defaults=(_table_text,))
 
 
-# Each price is three times the table, since the output holds every value
-# again as text.
+def _written(cells: int, digits: int) -> int:
+    """Bytes of writing out a table of this many cells, none wider than
+    digits characters, in its costliest format (json or text): a str per
+    cell while the output is assembled (about 64 B with its list slots;
+    json's encoder holds up to 10^5 of them before it joins them), the rows
+    padded to a rectangle and json's dense copy of them (8 B a cell each),
+    the cell's digits and the output held twice, plus 256 KiB for the
+    command line and the csv writer (160 KiB measured for ten cells)."""
+    return (1 << 18) + cells * (80 + 3 * digits)
+
+
+def _p_digits(n: int) -> int:
+    """Characters of p(n) or of a smaller int: p(n) < 2^(4 sqrt n), and a
+    bit is 0.30 digits."""
+    return 2 + 6 * isqrt(n) // 5
+
+
+def _coefficient_written(rmax: int) -> int:
+    """Bytes of writing out the a or b rows for r = 1..rmax, padded to the
+    longest b row, whose rmax(rmax-1)/2 + 1 entries are at least as many as
+    any a row's; every entry is under rmax/3 bits, so at most 2 + rmax/10
+    characters."""
+    return _written(rmax * (rmax * (rmax - 1) // 2 + 1), 2 + rmax // 10)
+
+
+# Each price is the table as built (the a rows hold the b rows too; the p
+# table, its rows of one cell each at 72 B and the pentagonal recurrence's
+# own list) plus writing it out.  The formats need different amounts, and
+# a price sees only the flags, so each is priced at its costliest format.
 TABLES = {
     "a": Table(
-        ("rmax",), lambda rmax: 6 * _row_family(rmax),
+        ("rmax",),
+        lambda rmax: 2 * _row_family(rmax) + _coefficient_written(rmax),
         lambda rmax: _coefficient_rows(build_a(rmax, build_sieve(max(rmax, 1)))),
     ),
-    "b": Table(("rmax",), lambda rmax: 3 * _row_family(rmax), lambda rmax: _coefficient_rows(build_b(rmax))),
-    "sr": Table(("r", "nmax"), lambda r, nmax: 3 * _ints((nmax + 1) ** 2, nmax) // 2, _sr_rows),
+    "b": Table(
+        ("rmax",),
+        lambda rmax: _row_family(rmax) + _coefficient_written(rmax),
+        lambda rmax: _coefficient_rows(build_b(rmax)),
+    ),
+    "sr": Table(
+        ("r", "nmax"),
+        lambda r, nmax: _ints((nmax + 1) ** 2, nmax) + _written((nmax + 1) ** 2, _p_digits(nmax)),
+        _sr_rows,
+    ),
     "p": Table(
-        ("nmax",), lambda nmax: 3 * _ints(nmax + 1, nmax), _p_rows,
+        ("nmax",),
+        lambda nmax: 2 * _ints(nmax + 1, nmax) + 72 * (nmax + 1) + _written(nmax + 1, _p_digits(nmax)),
+        _p_rows,
         lambda header, labels, rows: ",".join(str(row[0]) for row in rows),
     ),
 }

@@ -12,7 +12,7 @@ from bisect import bisect_right
 from collections import deque
 from itertools import compress, repeat
 from math import isqrt
-from operator import add
+from operator import add, mul
 from typing import Iterable, Optional, Sequence
 
 
@@ -60,46 +60,80 @@ class TruncatedSeries:
         return f"TruncatedSeries(order={self.order}, coeffs={list(shown)})"
 
 
-def _mul(a: Sequence[int], b: Sequence[int], order: int) -> list:
-    """Coefficients 0..order of the product of coefficient sequences a, b.
+def _mul(a: Sequence[int], b: Sequence[int], order: int, start: int = 0) -> list:
+    """Coefficients start..order of the product of coefficient sequences a, b.
 
-    Kronecker substitution (Harvey, J. Symbolic Comput. 44, 2009): each
-    sequence becomes one integer holding a coefficient per fixed-width slot,
-    the two integers are multiplied once by CPython's big-int multiply, and
-    the product's slots are read back.  A slot is wide enough for every
-    product coefficient c to satisfy |c| < 2^(w-1), w the slot width in
-    bits.  Negative coefficients are packed into a second integer and
-    subtracted, so slots borrow from their neighbours; adding 2^(w-1) to
-    every slot of the truncated product makes each slot c + 2^(w-1), in
-    0..2^w - 1, so the slots can be cut apart with no carry to undo.
+    With a, b cut to their first order+1 terms and trailing zeros dropped,
+    the product is formed one of three ways, chosen from the operands:
+    - shifted adds, when the sparser operand has at most
+      len(denser).bit_length() nonzero terms: each nonzero term c at q^j
+      adds c times the denser operand into the output from slot j on, in one
+      slice update;
+    - otherwise by Kronecker substitution (Harvey, J. Symbolic Comput. 44,
+      2009): each sequence becomes one integer holding a coefficient per
+      fixed-width slot, the two integers are multiplied once by CPython's
+      big-int multiply, and the product's slots are read back.  The slots
+      are read
+      - unsigned, when neither operand has a negative term: a slot of w bits
+        is wide enough for every product coefficient c to satisfy c < 2^w,
+        no slot borrows, and each slot holds its c;
+      - biased and signed otherwise: the slot has one bit more, so that
+        |c| < 2^(w-1), and negative terms are packed into a second
+        integer and subtracted, so slots borrow from their neighbours;
+        adding 2^(w-1) to every slot of the truncated product makes each
+        slot c + 2^(w-1), in 0..2^w - 1, so the slots can be cut apart with
+        no carry to undo.
+    Slots below start are never unpacked, and start past order + 1 gives [].
 
     Kernels call this directly, so that TruncatedSeries.__mul__ stays the
     one entry point for products a caller asks for.
     """
     a = _trimmed(a, order)
     b = _trimmed(b, order)
-    if not a or not b:
-        return [0] * (order + 1)
+    slots = min(order + 1, len(a) + len(b) - 1) if a and b else 0
+    if start >= slots:
+        return [0] * (order + 1 - start)
+    terms_a, terms_b = len(a) - a.count(0), len(b) - b.count(0)
+    if terms_a > terms_b:
+        a, b, terms_a = b, a, terms_b
+    if terms_a <= len(b).bit_length():
+        return _shifted_adds(a, b, order, start)
+    low_a, low_b = min(a), min(b)
+    signed = low_a < 0 or low_b < 0
     bits = (
-        max(max(a), -min(a)).bit_length()
-        + max(max(b), -min(b)).bit_length()
+        max(max(a), -low_a).bit_length()
+        + max(max(b), -low_b).bit_length()
         + min(len(a), len(b)).bit_length()
-        + 2
+        + signed
     )
     width = (bits + 7) // 8  # bytes per slot
     product = _pack(a, width) * _pack(b, width)
-    slots = min(order + 1, len(a) + len(b) - 1)
-    size = width * slots
-    mask = (1 << (8 * size)) - 1
-    bias = int.from_bytes((bytes(width - 1) + b"\x80") * slots, "little")
-    # (c + 2^(w-1)) xor 2^(w-1) is c in w-bit two's complement.
-    data = ((((product & mask) + bias) & mask) ^ bias).to_bytes(size, "little")
-    view = memoryview(data)
-    out = [
-        int.from_bytes(view[i : i + width], "little", signed=True)
-        for i in range(0, size, width)
-    ]
+    size = width * (slots - start)
+    if signed:
+        mask = (1 << (8 * width * slots)) - 1
+        bias = int.from_bytes((bytes(width - 1) + b"\x80") * slots, "little")
+        # (c + 2^(w-1)) xor 2^(w-1) is c in w-bit two's complement.
+        data = (((((product & mask) + bias) & mask) ^ bias) >> (8 * width * start)).to_bytes(size, "little")
+        view = memoryview(data)
+        out = [int.from_bytes(view[i : i + width], "little", signed=True) for i in range(0, size, width)]
+    else:
+        data = ((product >> (8 * width * start)) & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
+        cells = map(slice, range(0, size, width), range(width, size + width, width))
+        out = list(map(int.from_bytes, map(data.__getitem__, cells), repeat("little")))
     out += [0] * (order + 1 - slots)
+    return out
+
+
+def _shifted_adds(sparse: Sequence[int], dense: Sequence[int], order: int, start: int) -> list:
+    """Coefficients start..order of sparse times dense, one slice update per
+    nonzero term of sparse."""
+    out = [0] * (order + 1 - start)
+    for j in compress(range(len(sparse)), sparse):
+        lo = max(start - j, 0)  # the first term of dense that lands at or past start
+        hi = min(len(dense), order + 1 - j)
+        if lo < hi:
+            cells = slice(j + lo - start, j + hi - start)
+            out[cells] = map(add, out[cells], map(mul, dense[lo:hi], repeat(sparse[j])))
     return out
 
 
@@ -113,12 +147,12 @@ def _trimmed(a: Sequence[int], order: int) -> Sequence[int]:
 
 def _pack(a: Sequence[int], width: int) -> int:
     """sum_i a[i] 2^(8 width i), every |a[i]| < 2^(8 width)."""
+    if min(a) >= 0:
+        return int.from_bytes(b"".join(map(int.to_bytes, a, repeat(width), repeat("little"))), "little")
     zero = bytes(width)
     pos = int.from_bytes(
         b"".join(c.to_bytes(width, "little") if c > 0 else zero for c in a), "little"
     )
-    if min(a) >= 0:
-        return pos
     neg = int.from_bytes(
         b"".join((-c).to_bytes(width, "little") if c < 0 else zero for c in a), "little"
     )
@@ -174,21 +208,23 @@ def _log_solve(sigma: Sequence[int], order: int) -> TruncatedSeries:
 
     The recurrence is solved by divide-and-conquer online convolution: once
     g[lo:mid] is solved, its product with sigma is added by one _mul into
-    the unsolved slots g[mid:hi].  So when the plain loop over [lo, hi)
-    reaches g[n], the slot already holds the terms of the sum with j < lo,
-    and the loop adds those with lo <= j < n.
+    the unsolved slots g[mid:hi].  Only those slots of the product are
+    read: _mul starts at coefficient mid - lo and unpacks nothing below
+    it.  So when the plain loop over [lo, hi) reaches g[n], the slot
+    already holds the terms of the sum with j < lo, and the loop adds those
+    with lo <= j < n, in one C-level sum of products.
     """
     g = [1] + [0] * order
 
     def solve(lo: int, hi: int) -> None:
         if hi - lo <= _POCHHAMMER_BASE:
             for n in range(max(lo, 1), hi):
-                g[n] = (g[n] + sum(sigma[n - j] * g[j] for j in range(lo, n))) // n  # exact: n g_n is the sum
+                # sigma[n - j] g[j] for j = lo..n-1; exact: n g_n is the sum
+                g[n] = (g[n] + sum(map(mul, sigma[n - lo : 0 : -1], g[lo:n]))) // n
             return
         mid = (lo + hi) // 2
         solve(lo, mid)
-        part = _mul(g[lo:mid], sigma[: hi - lo], hi - lo - 1)
-        g[mid:hi] = map(add, g[mid:hi], part[mid - lo :])
+        g[mid:hi] = map(add, g[mid:hi], _mul(g[lo:mid], sigma[: hi - lo], hi - lo - 1, mid - lo))
         solve(mid, hi)
 
     solve(0, order + 1)

@@ -414,6 +414,21 @@ def test_sweep_price_covers_its_peak(name, values):
     assert peak <= row.price(**values)
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json", "text"])
+@pytest.mark.parametrize(
+    "kind, values",
+    [("sr", {"r": 1, "nmax": 250}), ("b", {"rmax": 60}), ("a", {"rmax": 40}), ("p", {"nmax": 2500})],
+    ids=["sr", "b", "a", "p"],
+)
+def test_table_price_covers_its_peak(tmp_path, kind, values, fmt):
+    # the whole command, formatting and writing included
+    argv = ["table", kind, *(x for flag, v in values.items() for x in (f"--{flag}", str(v)))]
+    out = tmp_path / "table.out"
+    peak = _traced_peak(cli.main, [*argv, "--format", fmt, "--out", str(out)])
+    assert out.stat().st_size > 0
+    assert peak <= cli.TABLES[kind].price(**values)
+
+
 def test_lambert_price_covers_its_peak():
     nmax = 200_000
     peak = _traced_peak(identities.verify_lambert, nmax)

@@ -30,26 +30,38 @@ small_series = st.lists(
 # Magnitudes at and next to whole-byte boundaries, where a Kronecker slot
 # that is one byte too narrow would first overflow.
 _BOUNDARY = [2 ** (8 * j) + d for j in range(1, 33) for d in (-1, 0, 1)]
-_coefficient = st.one_of(
-    st.just(0),
-    st.integers(min_value=-(2**256), max_value=2**256),
+_nonzero = st.one_of(
+    st.integers(min_value=-(2**256), max_value=2**256).filter(bool),
     st.sampled_from(_BOUNDARY + [-v for v in _BOUNDARY]),
 )
+_coefficient = st.one_of(st.just(0), _nonzero)
 
 
 @st.composite
 def series_pairs(draw):
-    """Two series of one order in 0..80: random, all zero, a monomial, or
-    one coefficient repeated (the largest possible product coefficients)."""
+    """Two series of one order in 0..80: random, all zero, a monomial, one
+    coefficient repeated (the largest possible product coefficients), or
+    sparse: k nonzero terms, k = (order + 1).bit_length() or one more, at
+    most and just past the count up to which _mul forms a product with a
+    full-length operand by shifted adds."""
     order = draw(st.integers(min_value=0, max_value=80))
 
     def one():
-        kind = draw(st.sampled_from(["random", "zero", "monomial", "constant"]))
+        kind = draw(st.sampled_from(["random", "zero", "monomial", "constant", "sparse"]))
         if kind == "zero":
             return TruncatedSeries([0], order)
         if kind == "monomial":
             power = draw(st.integers(min_value=0, max_value=order))
             return TruncatedSeries([0] * power + [draw(_coefficient)], order)
+        if kind == "sparse":
+            k = (order + 1).bit_length() + draw(st.integers(min_value=0, max_value=1))
+            k = min(k, order + 1)
+            where = draw(st.lists(st.integers(0, order), min_size=k, max_size=k, unique=True))
+            terms = draw(st.lists(_nonzero, min_size=k, max_size=k))
+            coeffs = [0] * (order + 1)
+            for j, c in zip(where, terms):
+                coeffs[j] = c
+            return TruncatedSeries(coeffs, order)
         if kind == "constant":
             return TruncatedSeries([draw(_coefficient)] * (order + 1), order)
         return TruncatedSeries(
@@ -113,6 +125,27 @@ def test_mul_full_slots(bits, sign_a, sign_b):
     a = TruncatedSeries([sign_a * (2**bits - 1)] * (n + 1), n)
     b = TruncatedSeries([sign_b * (2**bits - 1)] * (n + 1), n)
     assert (a * b).coeffs == schoolbook_mul(a.coeffs, b.coeffs)
+
+
+@pytest.mark.parametrize("shape", ["dense", "short", "sparse"])
+@pytest.mark.parametrize("signed", [False, True], ids=["nonnegative", "signed"])
+def test_mul_reads_from_start(shape, signed):
+    # every start in 0..order+1: a short pair's product fills slots 0..21, so
+    # the starts past it read no slot; a sparse operand takes shifted adds
+    order = 40
+    rng = random.Random(f"{shape}-{signed}")
+    low = -(2**70) if signed else 0
+
+    def row(length):
+        return [rng.randint(low, 2**70) for _ in range(length)] + [0] * (order + 1 - length)
+
+    a, b = (row(9), row(14)) if shape == "short" else (row(order + 1), row(order + 1))
+    if shape == "sparse":
+        a = [c if j in (0, 7, 33) else 0 for j, c in enumerate(a)]
+    full = schoolbook_mul(a, b)
+    for start in range(order + 2):
+        assert series._mul(a, b, order, start) == list(full[start:]), start
+        assert series._mul(b, a, order, start) == list(full[start:]), start
 
 
 def test_pochhammer_empty_product():
