@@ -13,6 +13,7 @@ import io
 import json
 import sys
 from collections import namedtuple
+from functools import partial
 from math import isqrt
 from typing import Optional
 
@@ -39,10 +40,15 @@ MU_ENTRY_BYTES = 21
 PHI_ENTRY_BYTES = 58
 
 
+def _p_bits(n: int) -> int:
+    """Bits of p(n) or of a smaller int: p(n) has fewer than
+    pi sqrt(2n/3) / ln 2 < 4 sqrt(n) bits."""
+    return 4 * isqrt(max(n, 0))
+
+
 def _ints(count: int, n: int) -> int:
-    """Bytes of count list slots holding ints no larger than about p(n),
-    which has fewer than pi sqrt(2n/3) / ln 2 < 4 sqrt(n) bits."""
-    return count * (36 + isqrt(max(n, 0)) // 2)
+    """Bytes of count list slots holding ints no larger than about p(n)."""
+    return count * (36 + _p_bits(n) // 8)
 
 
 def _sweep(order: int, entry_bytes: int = MU_ENTRY_BYTES) -> int:
@@ -52,12 +58,18 @@ def _sweep(order: int, entry_bytes: int = MU_ENTRY_BYTES) -> int:
     return entry_bytes * order + _ints(10 * (order + 1), order)
 
 
+def _coefficient_bits(r: int) -> int:
+    """Bits of any entry of the a or b row r or of an earlier row: under r/3
+    (max |a_{r,j}| and max |b_{r,j}| measured about 0.27 r bits at r = 200
+    to 400)."""
+    return r // 3 + 1
+
+
 def _row_family(rmax: int) -> int:
     """Bytes of the a rows or of the b rows for r = 1..rmax: about rmax^3/6
-    ints, those of row r under r/3 bits (max |a_{r,j}| and max |b_{r,j}|
-    measured about 0.27 r bits at r = 200 to 400), so r/24 bytes more than
-    a small int for each of row r's r^2/2 entries: rmax^4/192 in all."""
-    return _ints(rmax**3 // 6, 0) + rmax**4 // 192
+    ints, row r's r^2/2 entries each r/3 bits more than a small int, which
+    is sum_r r^3/48 = rmax^3 (rmax/3) / 64 bytes in all."""
+    return _ints(rmax**3 // 6, 0) + rmax**3 * _coefficient_bits(rmax) // 64
 
 
 # A verify row: the verifier's name in identities (its parameters are named
@@ -190,59 +202,69 @@ def _sr_rows(r, nmax):
 
 
 # A table row: the flags it requires, in the order json echoes them, the
-# bytes a run needs from the flag values, flag values -> (corner, header, row
-# labels, rows), and (header, row labels, rows) -> the text format.
+# bytes a run needs from the output format and the flag values, flag values
+# -> (corner, header, row labels, rows), and (header, row labels, rows) ->
+# the text format.
 Table = namedtuple("Table", "flags price build text", defaults=(_table_text,))
 
 
-def _written(cells: int, digits: int) -> int:
-    """Bytes of writing out a table of this many cells, none wider than
-    digits characters, in its costliest format (json or text): a str per
-    cell while the output is assembled (about 64 B with its list slots;
-    json's encoder holds up to 10^5 of them before it joins them), the rows
-    padded to a rectangle and json's dense copy of them (8 B a cell each),
-    the cell's digits and the output held twice, plus 256 KiB for the
-    command line and the csv writer (160 KiB measured for ten cells)."""
-    return (1 << 18) + cells * (80 + 3 * digits)
+def _written(fmt: str, cells: int, bits: int, spread: int) -> int:
+    """Bytes of writing out a table of this many cells in format fmt, no
+    cell over bits bits, so none over 2 + 0.3 bits characters, and the
+    cells together averaging at most 1/spread of that; plus 512 KiB for the
+    command line and the csv writer (322 KiB measured for ten cells in a
+    fresh process, whose first call also makes argparse's lazy imports).
+    Every format holds the rows padded to a rectangle, 8 B a cell.
+    - csv streams the rows into a buffer and copies it out: the output
+      held twice, a separator and the cell's digits per cell.
+    - json and text hold a str per cell while the output is assembled
+      (about 64 B with its list slot; json's encoder holds up to 10^5 of
+      them before it joins them), json's dense copy of the rows (8 B a
+      cell), the digits and the output held twice; text pads every cell
+      to its column's widest, so each is charged the widest digits."""
+    digits = 2 + bits * 3 // 10
+    if fmt == "csv":
+        return (1 << 19) + cells * (8 + 2 * (1 + digits // spread))
+    return (1 << 19) + cells * (80 + 3 * digits)
 
 
-def _p_digits(n: int) -> int:
-    """Characters of p(n) or of a smaller int: p(n) < 2^(4 sqrt n), and a
-    bit is 0.30 digits."""
-    return 2 + 6 * isqrt(n) // 5
-
-
-def _coefficient_written(rmax: int) -> int:
+def _coefficients_written(fmt: str, rmax: int) -> int:
     """Bytes of writing out the a or b rows for r = 1..rmax, padded to the
     longest b row, whose rmax(rmax-1)/2 + 1 entries are at least as many as
-    any a row's; every entry is under rmax/3 bits, so at most 2 + rmax/10
-    characters."""
-    return _written(rmax * (rmax * (rmax - 1) // 2 + 1), 2 + rmax // 10)
+    any a row's.  Row r fills about (r/rmax)^2 of its cells, with entries
+    of about r/rmax of the widest's digits: a quarter of them on average."""
+    return _written(fmt, rmax * (rmax * (rmax - 1) // 2 + 1), _coefficient_bits(rmax), 4)
 
 
-# Each price is the table as built (the a rows hold the b rows too; the p
-# table, its rows of one cell each at 72 B and the pentagonal recurrence's
-# own list) plus writing it out.  The formats need different amounts, and
-# a price sees only the flags, so each is priced at its costliest format.
+# Each price is, from the output format and the flags, the table as built
+# (the a rows hold the b rows too; the p table, its rows of one cell each
+# at 72 B and the pentagonal recurrence's own list) plus writing it out.
+# Half the S^(r) cells are blank, and S^(r)_{n,k} <= p(n - k), whose
+# digits grow as sqrt(n - k): the cells average under a quarter of the
+# digits of p(nmax).
 TABLES = {
     "a": Table(
         ("rmax",),
-        lambda rmax: 2 * _row_family(rmax) + _coefficient_written(rmax),
+        lambda fmt, rmax: 2 * _row_family(rmax) + _coefficients_written(fmt, rmax),
         lambda rmax: _coefficient_rows(build_a(rmax, build_sieve(max(rmax, 1)))),
     ),
     "b": Table(
         ("rmax",),
-        lambda rmax: _row_family(rmax) + _coefficient_written(rmax),
+        lambda fmt, rmax: _row_family(rmax) + _coefficients_written(fmt, rmax),
         lambda rmax: _coefficient_rows(build_b(rmax)),
     ),
     "sr": Table(
         ("r", "nmax"),
-        lambda r, nmax: _ints((nmax + 1) ** 2, nmax) + _written((nmax + 1) ** 2, _p_digits(nmax)),
+        lambda fmt, r, nmax: (
+            _ints((nmax + 1) ** 2, nmax) + _written(fmt, (nmax + 1) ** 2, _p_bits(nmax), 4)
+        ),
         _sr_rows,
     ),
     "p": Table(
         ("nmax",),
-        lambda nmax: 2 * _ints(nmax + 1, nmax) + 72 * (nmax + 1) + _written(nmax + 1, _p_digits(nmax)),
+        lambda fmt, nmax: (
+            2 * _ints(nmax + 1, nmax) + 72 * (nmax + 1) + _written(fmt, nmax + 1, _p_bits(nmax), 1)
+        ),
         _p_rows,
         lambda header, labels, rows: ",".join(str(row[0]) for row in rows),
     ),
@@ -252,7 +274,8 @@ TABLES = {
 def cmd_table(args) -> int:
     table = TABLES[args.kind]
     command = f"table {args.kind}"
-    params = _checked_values(args, command, dict.fromkeys(table.flags), table.price)
+    price = partial(table.price, args.format)
+    params = _checked_values(args, command, dict.fromkeys(table.flags), price)
     corner, header, labels, rows = table.build(**params)
     if args.format == "csv":
         _emit(_table_csv(corner, header, labels, rows), args.out)

@@ -12,7 +12,7 @@ from bisect import bisect_right
 from collections import deque
 from itertools import compress, repeat
 from math import isqrt
-from operator import add, mul
+from operator import add, mul, sub
 from typing import Iterable, Optional, Sequence
 
 
@@ -72,17 +72,17 @@ def _mul(a: Sequence[int], b: Sequence[int], order: int, start: int = 0) -> list
     - otherwise by Kronecker substitution (Harvey, J. Symbolic Comput. 44,
       2009): each sequence becomes one integer holding a coefficient per
       fixed-width slot, the two integers are multiplied once by CPython's
-      big-int multiply, and the product's slots are read back.  The slots
-      are read
-      - unsigned, when neither operand has a negative term: a slot of w bits
-        is wide enough for every product coefficient c to satisfy c < 2^w,
-        no slot borrows, and each slot holds its c;
-      - biased and signed otherwise: the slot has one bit more, so that
-        |c| < 2^(w-1), and negative terms are packed into a second
-        integer and subtracted, so slots borrow from their neighbours;
-        adding 2^(w-1) to every slot of the truncated product makes each
-        slot c + 2^(w-1), in 0..2^w - 1, so the slots can be cut apart with
-        no carry to undo.
+      big-int multiply, and the product's slots are cut apart and read
+      back as unsigned ints.  Each slot then holds
+      - its coefficient c, when neither operand has a negative term: a slot
+        of w bits is wide enough for every c to satisfy c < 2^w, and no
+        slot borrows;
+      - c + 2^(w-1) otherwise (the biased signed read): the slot has one
+        bit more, so that |c| < 2^(w-1), and negative terms are packed into
+        a second integer and subtracted, so slots borrow from their
+        neighbours; adding 2^(w-1) to every slot of the truncated product
+        puts each slot at c + 2^(w-1), in 0..2^w - 1, with no carry to
+        undo, and 2^(w-1) is subtracted from each slot read.
     Slots below start are never unpacked, and start past order + 1 gives [].
 
     Kernels call this directly, so that TruncatedSeries.__mul__ stays the
@@ -108,18 +108,15 @@ def _mul(a: Sequence[int], b: Sequence[int], order: int, start: int = 0) -> list
     )
     width = (bits + 7) // 8  # bytes per slot
     product = _pack(a, width) * _pack(b, width)
-    size = width * (slots - start)
+    half = signed << (8 * width - 1)
     if signed:
-        mask = (1 << (8 * width * slots)) - 1
-        bias = int.from_bytes((bytes(width - 1) + b"\x80") * slots, "little")
-        # (c + 2^(w-1)) xor 2^(w-1) is c in w-bit two's complement.
-        data = (((((product & mask) + bias) & mask) ^ bias) >> (8 * width * start)).to_bytes(size, "little")
-        view = memoryview(data)
-        out = [int.from_bytes(view[i : i + width], "little", signed=True) for i in range(0, size, width)]
-    else:
-        data = ((product >> (8 * width * start)) & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
-        cells = map(slice, range(0, size, width), range(width, size + width, width))
-        out = list(map(int.from_bytes, map(data.__getitem__, cells), repeat("little")))
+        product += int.from_bytes(half.to_bytes(width, "little") * slots, "little")
+    size = width * (slots - start)
+    data = ((product >> (8 * width * start)) & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
+    cells = map(slice, range(0, size, width), range(width, size + width, width))
+    out = list(map(int.from_bytes, map(data.__getitem__, cells), repeat("little")))
+    if signed:
+        out = list(map(sub, out, repeat(half)))
     out += [0] * (order + 1 - slots)
     return out
 

@@ -426,7 +426,7 @@ def test_table_price_covers_its_peak(tmp_path, kind, values, fmt):
     out = tmp_path / "table.out"
     peak = _traced_peak(cli.main, [*argv, "--format", fmt, "--out", str(out)])
     assert out.stat().st_size > 0
-    assert peak <= cli.TABLES[kind].price(**values)
+    assert peak <= cli.TABLES[kind].price(fmt, **values)
 
 
 def test_lambert_price_covers_its_peak():
@@ -461,8 +461,26 @@ def test_sieve_price_covers_its_peak(build, entry_bytes):
     ],
 )
 def test_documented_sizes_are_admitted(command, name, values):
-    registry = cli.IDENTITIES if command == "verify" else cli.TABLES
-    assert registry[name].price(**values) <= cli.MEMORY_BUDGET
+    if command == "verify":
+        assert cli.IDENTITIES[name].price(**values) <= cli.MEMORY_BUDGET
+    for fmt in ("csv", "json", "text") if command == "table" else ():
+        assert cli.TABLES[name].price(fmt, **values) <= cli.MEMORY_BUDGET
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["sr", "--r", "1", "--nmax", "4000"], ["b", "--rmax", "440"], ["a", "--rmax", "357"]],
+    ids=["sr", "b", "a"],
+)
+def test_csv_is_priced_on_its_own(capsys, argv):
+    # csv streams its rows and holds no str per cell, so it is admitted at
+    # sizes that json and text, which hold one, are refused at
+    kind, *flags = argv
+    values = {flag[2:]: int(v) for flag, v in zip(flags[::2], flags[1::2])}
+    assert cli.TABLES[kind].price("csv", **values) <= cli.MEMORY_BUDGET
+    for fmt in ("json", "text"):
+        code, out, err = run(capsys, "table", *argv, "--format", fmt)
+        assert code == cli.EXIT_USAGE and "GiB limit" in err
 
 
 def test_registry_matches_readme_and_identities(capsys):

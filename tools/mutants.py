@@ -1,19 +1,20 @@
 """Mutation check of the test suite: each mutant is one exact text edit to a
 file of the package, listed with the tests that should fail once it is made.
 
-    python3 tools/mutants.py [--only NAME ...] [--timeout SECONDS] [--out MUTANTS.json]
+    python3 tools/mutants.py
 
 Run it from the root of a checkout.  The listed tests first run once on an
 unmutated copy and must pass.  Then, for one mutant at a time, the runner
 copies `src/`, `tests/` and `pyproject.toml` into a fresh temporary
 directory, replaces the mutant's old text by its new text there, and runs
-pytest on the mutant's tests in one subprocess, with a timeout; two never
-run at once, and the checkout itself is never edited.  A mutant is
-"killed" when a test fails, "survived" when every test passes, and
-"timeout" when the timeout stops it: a hang is reported apart from a
+pytest on the mutant's tests in one subprocess, stopped after TIMEOUT
+seconds; two never run at once, and the checkout itself is never edited.
+A mutant is "killed" when a test fails, "survived" when every test passes,
+and "timeout" when the timeout stops it: a hang is reported apart from a
 failure, and so is any other pytest exit (a collection error).  One record
-per mutant goes to `--out`.  Exits 0 when every mutant was killed, 2 when
-the unmutated tests fail, and 1 otherwise.
+per mutant goes to `MUTANTS.json` at the root of the checkout.  Exits 0
+when every mutant was killed, 2 when the unmutated tests fail, and 1
+otherwise.
 
 Stdlib only.  A tier-1 test checks that each old text occurs exactly once
 in its file, so that an edit to the package cannot leave a mutant stale.
@@ -21,7 +22,6 @@ in its file, so that an edit to the package cannot leave a mutant stale.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import shutil
@@ -34,6 +34,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SERIES = "src/mobius_partitions/series.py"
+TIMEOUT = 600  # seconds per pytest run
 
 Mutant = namedtuple("Mutant", "name file old new tests")
 
@@ -74,8 +75,8 @@ CATALOGUE = (
     ),
     Mutant(
         "signed-read-without-bias", SERIES,
-        "data = (((((product & mask) + bias) & mask) ^ bias) >> (8 * width * start))",
-        "data = ((product & mask) >> (8 * width * start))",
+        '        product += int.from_bytes(half.to_bytes(width, "little") * slots, "little")\n',
+        "        pass\n",
         ("tests/test_series.py::test_mul_full_slots",
          "tests/test_series.py::test_mul_reads_from_start"),
     ),
@@ -89,20 +90,20 @@ def _copy(dest: Path) -> None:
     shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
 
 
-def _pytest(root: Path, tests, timeout: float) -> tuple:
+def _pytest(root: Path, tests) -> tuple:
     """(status, seconds) of one pytest run of tests in the copy at root."""
     env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONDONTWRITEBYTECODE="1")
     argv = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
     start = time.perf_counter()
     try:
-        done = subprocess.run(argv, cwd=root, env=env, capture_output=True, timeout=timeout)
+        done = subprocess.run(argv, cwd=root, env=env, capture_output=True, timeout=TIMEOUT)
     except subprocess.TimeoutExpired:
         return "timeout", time.perf_counter() - start
     outcome = {0: "passed", 1: "failed"}.get(done.returncode, f"pytest exit {done.returncode}")
     return outcome, time.perf_counter() - start
 
 
-def run(mutant: Mutant, timeout: float) -> dict:
+def run(mutant: Mutant) -> dict:
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         root = Path(tmp)
         _copy(root)
@@ -111,37 +112,27 @@ def run(mutant: Mutant, timeout: float) -> dict:
         if text.count(mutant.old) != 1:
             raise ValueError(f"{mutant.name}: old text found {text.count(mutant.old)} times in {mutant.file}")
         path.write_text(text.replace(mutant.old, mutant.new))
-        outcome, seconds = _pytest(root, mutant.tests, timeout)
+        outcome, seconds = _pytest(root, mutant.tests)
     status = {"failed": "killed", "passed": "survived"}.get(outcome, outcome)
     return {"name": mutant.name, "file": mutant.file, "tests": list(mutant.tests),
             "status": status, "seconds": round(seconds, 1)}
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--only", nargs="+", metavar="NAME", help="run only these mutants")
-    parser.add_argument("--timeout", type=float, default=600, help="seconds per pytest run")
-    parser.add_argument("--out", default="MUTANTS.json", help="where the results go")
-    args = parser.parse_args(argv)
-    names = {m.name for m in CATALOGUE}
-    unknown = sorted(set(args.only or ()) - names)
-    if unknown:
-        parser.error(f"unknown mutant {', '.join(unknown)}")
-    chosen = [m for m in CATALOGUE if args.only is None or m.name in args.only]
-
-    tests = list(dict.fromkeys(t for m in chosen for t in m.tests))
+def main() -> int:
+    tests = list(dict.fromkeys(t for m in CATALOGUE for t in m.tests))
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         _copy(Path(tmp))
-        outcome, seconds = _pytest(Path(tmp), tests, args.timeout)
+        outcome, seconds = _pytest(Path(tmp), tests)
     print(f"unmutated: {outcome} in {seconds:.1f} s", flush=True)
     if outcome != "passed":
         return 2
 
     results = []
-    for mutant in chosen:
-        results.append(run(mutant, args.timeout))
+    for mutant in CATALOGUE:
+        results.append(run(mutant))
         print(f"{mutant.name}: {results[-1]['status']} in {results[-1]['seconds']} s", flush=True)
-    Path(args.out).write_text(json.dumps({"python": sys.version.split()[0], "mutants": results}, indent=1) + "\n")
+    record = {"python": sys.version.split()[0], "mutants": results}
+    (ROOT / "MUTANTS.json").write_text(json.dumps(record, indent=1) + "\n")
     return 0 if all(r["status"] == "killed" for r in results) else 1
 
 
