@@ -1,10 +1,12 @@
 """Coefficient families a_{r,j}, b_{r,j} and verifiers for every identity
 connecting p(n), S^(r)_{n,k}, mu and phi.
 
-Each verifier sweeps a configurable range, compares independently computed
-sides exactly, and returns a VerificationReport.  Failures are report
-content, never exceptions: a sweep always covers its full range and keeps
-up to a capped number of counterexamples as evidence.
+Each verifier sweeps a configurable range and hands its rows of checks to
+_sweep, the one place that builds a VerificationReport; _weighted_vs_p sets
+each weighted sum of S^(r) against its sum of p values, one route a side.
+Failures are report content, never exceptions: a sweep always covers its
+full range and keeps up to a capped number of counterexamples as evidence.
+tests/test_independence.py checks that no check takes both sides from one route.
 """
 
 from __future__ import annotations
@@ -178,33 +180,49 @@ def _shifted_p_sums(p: PartitionTable, terms, count: int) -> list:
     return out
 
 
+def _sweep(identity: str, params: dict, cap: int, checks) -> VerificationReport:
+    """The report of one sweep: one record_all per (index, lhs, rhs) in
+    checks, in order.  A generator of checks makes each row as it is compared."""
+    report = VerificationReport(identity, params, cap=cap)
+    for index, lhs, rhs in checks:
+        report.record_all(index, lhs, rhs)
+    return report
+
+
+def _weighted_vs_p(nmax: int, legs):
+    """For each leg (r, weights, offset, terms) of the list legs, in turn,
+    two rows for n = 0..nmax: sum_k S^(r)_{n+offset,k} w(k), from one
+    weighted_sr_sums pass over every leg (so r must not decrease), and sum
+    c p(n - s) over the (c, s) in terms, from one pentagonal p."""
+    order = nmax + max(offset for _, _, offset, _ in legs)
+    sums = weighted_sr_sums(((r, weights) for r, weights, _, _ in legs), order)
+    p = None
+    for (_, _, offset, terms), series in zip(legs, sums):
+        # p is built after the first series, so it is not held through that product
+        p = p or partition_table_pentagonal(nmax)
+        rhs = _shifted_p_sums(p, terms, nmax + 1)
+        yield series.coeffs[offset : offset + nmax + 1], rhs
+
+
 def verify_theorem1(nmax: int, r: int, cap: int = DEFAULT_COUNTEREXAMPLE_CAP) -> VerificationReport:
     """p(n) = (-1)^(r-1) sum_k S^(r)_{n+r,k} mu(k) for r in {1, 2}."""
     if r not in (1, 2):
         raise ValueError(f"r must be 1 or 2, got {r}")
-    report = VerificationReport("thm1", {"nmax": nmax, "r": r}, cap=cap)
-    lhs = next(weighted_sr_sums([(r, build_sieve(nmax + r))], nmax + r))
-    p = _shifted_p_sums(partition_table_pentagonal(nmax), ((1, 0),), nmax + 1)
-    sign = (-1) ** (r - 1)
-    report.record_all(lambda n: n, p, list(map(mul, repeat(sign), lhs.coeffs[r : nmax + r + 1])))
-    return report
+    [(lhs, p)] = _weighted_vs_p(nmax, [(r, build_sieve(nmax + r), r, ((1, 0),))])
+    signed = list(map(mul, repeat((-1) ** (r - 1)), lhs))
+    return _sweep("thm1", {"nmax": nmax, "r": r}, cap, [(lambda n: n, p, signed)])
 
 
 def verify_theorem2(nmax: int, rmax: int, cap: int = DEFAULT_COUNTEREXAMPLE_CAP) -> VerificationReport:
     """sum_k S^(r)_{n+r,k} mu(k) = sum_j a_{r,j} p(n-j) for r <= rmax."""
     if rmax < 1:
         raise ValueError(f"rmax must be >= 1, got {rmax}")
-    report = VerificationReport("thm2", {"nmax": nmax, "rmax": rmax}, cap=cap)
     mu = build_sieve(nmax + rmax)
-    a_rows = build_a(rmax, mu)
-    p = partition_table_pentagonal(nmax)
-    # The left-hand sides come from one Lambert sum per r and never from the
-    # a-row recurrence, which the right-hand sides use.
-    lhs_series = weighted_sr_sums(((r, mu) for r in range(1, rmax + 1)), nmax + rmax)
-    for r, lhs, a_row in zip(range(1, rmax + 1), lhs_series, a_rows):
-        rhs = _shifted_p_sums(p, ((c, j) for j, c in enumerate(a_row)), nmax + 1)
-        report.record_all(lambda n: (r, n), lhs.coeffs[r : nmax + r + 1], rhs)
-    return report
+    # Only the right-hand sides read the a rows, each one term at a time.
+    legs = [(r, mu, r, ((c, j) for j, c in enumerate(a_row))) for r, a_row in enumerate(build_a(rmax, mu), 1)]
+    rows = enumerate(_weighted_vs_p(nmax, legs), 1)
+    checks = ((lambda n: (r, n), lhs, rhs) for r, (lhs, rhs) in rows)
+    return _sweep("thm2", {"nmax": nmax, "rmax": rmax}, cap, checks)
 
 
 def verify_weighted_corollary(nmax: int, r: int, cap: int = DEFAULT_COUNTEREXAMPLE_CAP) -> VerificationReport:
@@ -214,15 +232,11 @@ def verify_weighted_corollary(nmax: int, r: int, cap: int = DEFAULT_COUNTEREXAMP
     if r not in (1, 2):
         raise ValueError(f"r must be 1 or 2, got {r}")
     check_enumeration_size(nmax)
-    report = VerificationReport("weighted", {"nmax": nmax, "r": r}, cap=cap)
     # Every part lies in r..n <= nmax, inside the sieve.
     mu = build_sieve(max(nmax, 1)).__getitem__
-    p = partition_table_pentagonal(nmax)
-    sign = (-1) ** (r - 1)
-    for n in range(nmax + 1):
-        parts = chain.from_iterable(enumerate_partitions(n, r))
-        report.record(n, p.value(n - r), sign * sum(map(mu, parts)))
-    return report
+    p = _shifted_p_sums(partition_table_pentagonal(nmax), ((1, r),), nmax + 1)
+    sums = [(-1) ** (r - 1) * sum(map(mu, chain.from_iterable(enumerate_partitions(n, r)))) for n in range(nmax + 1)]
+    return _sweep("weighted", {"nmax": nmax, "r": r}, cap, [(lambda n: n, p, sums)])
 
 
 # which -> S^(r) table r, S-table index offset, first n, difference of p as
@@ -253,24 +267,21 @@ def verify_corollary(which: int, nmax: int, cap: int = DEFAULT_COUNTEREXAMPLE_CA
     if which not in COROLLARY_SPECS:
         raise ValueError(f"which must be 2, 3 or 4, got {which}")
     spec = COROLLARY_SPECS[which]
-    offset = spec["offset"]
-    report = VerificationReport(f"cor{which}", {"nmax": nmax}, cap=cap)
-    msum = next(weighted_sr_sums([(spec["r"], build_sieve(nmax + offset))], nmax + offset))
-    diff = _shifted_p_sums(partition_table_pentagonal(max(nmax, 1)), spec["diff"], nmax + 1)
-    mobius_leg = list(map(neg, msum.coeffs[offset:]))
-    # both legs per n up to the cap, in that order; past it, one row compare
-    split = max(spec["nmin"], min(nmax, ENUMERATION_CAP) + 1)
-    for n in range(spec["nmin"], split):
-        report.record(n, diff[n], mobius_leg[n])
-        report.record(n, diff[n], count_restricted(n, spec["predicate"]))
-    report.record_all(lambda i: split + i, diff[split:], mobius_leg[split:])
-    return report
+    offset, nmin = spec["offset"], spec["nmin"]
+    [(msum, diff)] = _weighted_vs_p(nmax, [(spec["r"], build_sieve(nmax + offset), offset, spec["diff"])])
+    mobius = list(map(neg, msum))
+    # up to the cap, both legs per n in one pair of interleaved rows,
+    # (difference, difference) against (Mobius, count); past it, one row
+    split = max(nmin, min(nmax, ENUMERATION_CAP) + 1)
+    lhs = list(chain.from_iterable(zip(diff[nmin:split], diff[nmin:split])))
+    rhs = list(chain.from_iterable((mobius[n], count_restricted(n, spec["predicate"])) for n in range(nmin, split)))
+    checks = [(lambda i: nmin + i // 2, lhs, rhs), (lambda i: split + i, diff[split:], mobius[split:])]
+    return _sweep(f"cor{which}", {"nmax": nmax}, cap, checks)
 
 
 def verify_phi_identities(nmax: int, cap: int = DEFAULT_COUNTEREXAMPLE_CAP) -> VerificationReport:
     """Totient analogues: sum_k S^(1)_{n+1,k} phi(k) = sum_k (k+1) p(n-k)
     and sum_k S^(2)_{n+2,k} phi(k) = sum_k p(n-k) = S^(1)_{n+1,1}."""
-    report = VerificationReport("phi", {"nmax": nmax}, cap=cap)
     order = nmax + 2
     phi = totient_row(order)
     ones = [0, 1] + [0] * (order - 1)
@@ -280,10 +291,9 @@ def verify_phi_identities(nmax: int, cap: int = DEFAULT_COUNTEREXAMPLE_CAP) -> V
     rhs2 = list(accumulate(partition_table_pentagonal(nmax).values))
     rhs1 = accumulate(rhs2)
     # three checks per n, in this order: the rows interleave them
-    lhs = zip(s1_phi.coeffs[1:], s2_phi.coeffs[2:], rhs2)
-    rhs = zip(rhs1, rhs2, s1_ones.coeffs[1:])
-    report.record_all(lambda i: i // 3, list(chain.from_iterable(lhs)), list(chain.from_iterable(rhs)))
-    return report
+    lhs = chain.from_iterable(zip(s1_phi.coeffs[1:], s2_phi.coeffs[2:], rhs2))
+    rhs = chain.from_iterable(zip(rhs1, rhs2, s1_ones.coeffs[1:]))
+    return _sweep("phi", {"nmax": nmax}, cap, [(lambda i: i // 3, list(lhs), list(rhs))])
 
 
 def _mu_coprime_row(alpha: int, order: int) -> list:
@@ -327,17 +337,14 @@ def verify_prime_corollary(
         raise ValueError(f"alpha={alpha} is over 10^12, the largest alpha tested for primality")
     if alpha < 2 or any(alpha % d == 0 for d in range(2, isqrt(alpha) + 1)):
         raise ValueError(f"alpha={alpha} is not prime")
-    report = VerificationReport("prime-alpha", {"nmax": nmax, "alpha": alpha, "which": which}, cap=cap)
     weights = list(map(mul, repeat(sign), _mu_coprime_row(alpha, nmax + r)))
-    lhs = next(weighted_sr_sums([(r, weights)], nmax + r))
     terms = []
     power = 1
     while power <= nmax + 1:
         terms += [(c_this, power - 1), (c_next, alpha * power - 2)]
         power *= alpha
-    rhs = _shifted_p_sums(partition_table_pentagonal(nmax), terms, nmax + 1)
-    report.record_all(lambda n: n, lhs.coeffs[r:], rhs)
-    return report
+    [(lhs, rhs)] = _weighted_vs_p(nmax, [(r, weights, r, terms)])
+    return _sweep("prime-alpha", {"nmax": nmax, "alpha": alpha, "which": which}, cap, [(lambda n: n, lhs, rhs)])
 
 
 def verify_b_symmetry(rmax: int, cap: int = DEFAULT_COUNTEREXAMPLE_CAP) -> VerificationReport:
@@ -345,17 +352,16 @@ def verify_b_symmetry(rmax: int, cap: int = DEFAULT_COUNTEREXAMPLE_CAP) -> Verif
     reading out-of-support entries as zero."""
     if rmax < 2:
         raise ValueError(f"rmax must be >= 2, got {rmax}")
-    report = VerificationReport("b-symmetry", {"rmax": rmax}, cap=cap)
     rows = build_b(rmax)
-    for r in range(2, rmax + 1):
-        cur, prev = rows[r - 1], rows[r - 2]
-        # prev is r - 1 entries shorter than cur: j -> b_{r-1,j} and
-        # j -> b_{r-1,half-j}, both zero-padded to cur's r(r-1)/2 + 1 entries
-        at_j = chain(prev, repeat(0, r - 1))
-        at_half_minus_j = chain(repeat(0, r - 1), reversed(prev))
-        rhs = list(map(sub if r % 2 == 0 else add, at_j, at_half_minus_j))
-        report.record_all(lambda j: (r, j), cur, rhs)
-    return report
+    def checks():
+        for r in range(2, rmax + 1):
+            cur, prev = rows[r - 1], rows[r - 2]
+            # prev is r - 1 entries shorter than cur: j -> b_{r-1,j} and
+            # j -> b_{r-1,half-j}, both zero-padded to cur's r(r-1)/2 + 1 entries
+            at_j = chain(prev, repeat(0, r - 1))
+            at_half_minus_j = chain(repeat(0, r - 1), reversed(prev))
+            yield lambda j: (r, j), cur, list(map(sub if r % 2 == 0 else add, at_j, at_half_minus_j))
+    return _sweep("b-symmetry", {"rmax": rmax}, cap, checks())
 
 
 def verify_lemma1(
@@ -365,45 +371,39 @@ def verify_lemma1(
     if route not in ("gf", "enum"):
         raise ValueError(f"route must be gf or enum, got {route!r}")
     build = sr_table_gf if route == "gf" else sr_table_enum
-    report = VerificationReport("lemma1", {"nmax": nmax, "rmax": rmax, "route": route}, cap=cap)
-    if rmax < 1 or nmax < 2:
-        return report
-    limit = nmax + rmax
-    # Every table is built on its own: one stepped from the table before it
-    # would satisfy the lemma by construction.
-    lo = build(1, limit)
-    for r in range(1, rmax + 1):
-        hi = build(r + 1, limit)
-        for n in range(r + 1, nmax + 1):
-            rhs = list(map(sub, lo.row(n + r, r + 1, n), lo.row(n, r + 1, n)))
-            report.record_all(lambda i: (r, n, r + 1 + i), hi.row(n + r, r + 1, n), rhs)
-        lo = hi
-    return report
+    def checks():
+        # Only the tables for r and r + 1 are held, each built on its own: one
+        # stepped from the table before it would satisfy the lemma by construction.
+        if rmax < 1 or nmax < 2:
+            return
+        lo = build(1, nmax + rmax)
+        for r in range(1, rmax + 1):
+            hi = build(r + 1, nmax + rmax)
+            for n in range(r + 1, nmax + 1):
+                rhs = list(map(sub, lo.row(n + r, r + 1, n), lo.row(n, r + 1, n)))
+                yield lambda i: (r, n, r + 1 + i), hi.row(n + r, r + 1, n), rhs
+            lo = hi
+    return _sweep("lemma1", {"nmax": nmax, "rmax": rmax, "route": route}, cap, checks())
 
 
 def verify_lambert(nmax: int, cap: int = DEFAULT_COUNTEREXAMPLE_CAP) -> VerificationReport:
     """The Lambert series sum_k mu(k) q^k/(1-q^k) collapses to q exactly."""
-    report = VerificationReport("lambert", {"nmax": nmax}, cap=cap)
     series = lambert_sum(build_sieve(max(nmax, 1)), nmax)
     expected = [0] * (nmax + 1)
     if nmax >= 1:
         expected[1] = 1
-    report.record_all(lambda n: n, series.coeffs, expected)
-    return report
+    return _sweep("lambert", {"nmax": nmax}, cap, [(lambda n: n, series.coeffs, expected)])
 
 
 def verify_sr_oracle(nmax: int, rmax: int, cap: int = DEFAULT_COUNTEREXAMPLE_CAP) -> VerificationReport:
-    """Generating-function S-tables against the enumeration oracle
-    (nmax <= ENUMERATION_CAP), whose tables for every r come from one scan
-    per n."""
+    """Generating-function S-tables, one r at a time, against the enumeration
+    oracle (nmax <= ENUMERATION_CAP), whose tables all come from one scan per n."""
     check_enumeration_size(nmax)
     if rmax > nmax:
         raise ValueError(f"rmax={rmax} exceeds nmax={nmax}: S^(r) needs r <= nmax")
-    report = VerificationReport("oracle-sr", {"nmax": nmax, "rmax": rmax}, cap=cap)
-    if rmax < 1:
-        return report
-    for r, slow in enumerate(sr_tables_enum(1, rmax, nmax), 1):
-        fast = sr_table_gf(r, nmax)
-        for n in range(nmax + 1):
-            report.record_all(lambda i: (r, n, r + i), fast.row(n, r, n), slow.row(n, r, n))
-    return report
+    def checks():
+        for r, slow in enumerate(sr_tables_enum(1, rmax, nmax) if rmax >= 1 else (), 1):
+            fast = sr_table_gf(r, nmax)
+            for n in range(nmax + 1):
+                yield lambda i: (r, n, r + i), fast.row(n, r, n), slow.row(n, r, n)
+    return _sweep("oracle-sr", {"nmax": nmax, "rmax": rmax}, cap, checks())

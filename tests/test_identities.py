@@ -435,6 +435,24 @@ def test_theorem2_builds_one_inverse(monkeypatch):
     assert starts == [1]
 
 
+def test_lemma1_builds_each_table_from_its_own_inverse(monkeypatch):
+    # lemma1 compares tables of one route, so the route-independence test
+    # exempts it; a table stepped from the one before it would satisfy
+    # Lemma 1 by construction
+    from mobius_partitions import partitions
+
+    real = partitions.pochhammer_inverse
+    starts = []
+
+    def counting(start, order):
+        starts.append(start)
+        return real(start, order)
+
+    monkeypatch.setattr(partitions, "pochhammer_inverse", counting)
+    assert verify_lemma1(20, 4).passed
+    assert starts == [1, 2, 3, 4, 5]
+
+
 def test_sr_oracle_scans_each_n_once(monkeypatch):
     from mobius_partitions import partitions
 

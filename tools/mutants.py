@@ -5,10 +5,11 @@ file of the package, listed with the tests that should fail once it is made.
 
 Run it from the root of a checkout.  The listed tests first run once on an
 unmutated copy and must pass.  Then, for one mutant at a time, the runner
-copies `src/`, `tests/` and `pyproject.toml` into a fresh temporary
-directory, replaces the mutant's old text by its new text there, and runs
-pytest on the mutant's tests in one subprocess, stopped after TIMEOUT
-seconds; two never run at once, and the checkout itself is never edited.
+copies `src/`, `tests/`, `pyproject.toml` and `README.md` (whose identity
+catalogue a test reads) into a fresh temporary directory, replaces the
+mutant's old text by its new text there, and runs pytest on the mutant's
+tests in one subprocess, stopped after TIMEOUT seconds; two never run at
+once, and the checkout itself is never edited.
 A mutant is "killed" when a test fails, "survived" when every test passes,
 and "timeout" when the timeout stops it: a hang is reported apart from a
 failure, and so is any other pytest exit (a collection error).  One record
@@ -34,6 +35,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SERIES = "src/mobius_partitions/series.py"
+PARTITIONS = "src/mobius_partitions/partitions.py"
+IDENTITIES = "src/mobius_partitions/identities.py"
+INDEPENDENCE = "tests/test_independence.py"
 TIMEOUT = 600  # seconds per pytest run
 
 Mutant = namedtuple("Mutant", "name file old new tests")
@@ -80,6 +84,34 @@ CATALOGUE = (
         ("tests/test_series.py::test_mul_full_slots",
          "tests/test_series.py::test_mul_reads_from_start"),
     ),
+    # Route leaks: one check takes both of its sides from one route.  The
+    # values stay right, so only a test that perturbs what a route returns
+    # sees them.
+    Mutant(
+        "weighted-sums-inverse-from-pentagonal-p", PARTITIONS,
+        "            inv, at = list(pochhammer_inverse(1, order).coeffs), 1\n",
+        "            inv, at = list(pochhammer_inverse(1, order).coeffs), 1\n"
+        "            inv[:] = partition_table_pentagonal(order).values\n",
+        (INDEPENDENCE,),
+    ),
+    Mutant(
+        "thm1-p-side-from-series-row", IDENTITIES,
+        "[(lambda n: n, p, signed)]",
+        "[(lambda n: n, signed, signed)]",
+        (INDEPENDENCE, "tests/test_identities.py::test_theorem1_injected_errors"),
+    ),
+    Mutant(
+        "cor-count-leg-from-difference-leg", IDENTITIES,
+        'count_restricted(n, spec["predicate"])',
+        "diff[n]",
+        (INDEPENDENCE, "tests/test_identities.py::test_corollary3_injected_errors"),
+    ),
+    Mutant(
+        "oracle-sr-gf-table-against-itself", IDENTITIES,
+        "fast.row(n, r, n), slow.row(n, r, n)",
+        "fast.row(n, r, n), fast.row(n, r, n)",
+        (INDEPENDENCE,),
+    ),
 )
 
 
@@ -87,7 +119,8 @@ def _copy(dest: Path) -> None:
     skip = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
     for name in ("src", "tests"):
         shutil.copytree(ROOT / name, dest / name, ignore=skip)
-    shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
+    for name in ("pyproject.toml", "README.md"):
+        shutil.copy2(ROOT / name, dest / name)
 
 
 def _pytest(root: Path, tests) -> tuple:
