@@ -8,12 +8,10 @@ numeric error.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
 from collections import namedtuple
-from functools import partial
+from itertools import chain, islice, zip_longest
 from math import isqrt
 from typing import Optional
 
@@ -123,15 +121,14 @@ IDENTITIES = {
 SWEEP_FLAGS = tuple(dict.fromkeys(flag for row in IDENTITIES.values() for flag in row.flags))
 
 
-def _emit(text: str, out: Optional[str]) -> None:
-    if not text.endswith("\n"):
-        text += "\n"
+def _emit(chunks, out: Optional[str]) -> None:
+    """Write the strs of chunks to stdout, or to the file out."""
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         try:
             with open(out, "w") as fh:
-                fh.write(text)
+                fh.writelines(chunks)
         except OSError as exc:
             raise ValueError(f"cannot write {out}: {exc.strerror}") from exc
 
@@ -158,131 +155,116 @@ def _checked_values(args, command: str, defaults: dict, price) -> dict:
     return values
 
 
-def _table_text(header, row_labels, rows) -> str:
-    """Every column right-aligned to its widest entry, None cells blank."""
-    lines = [[""] + [str(h) for h in header]]
-    for label, row in zip(row_labels, rows):
-        lines.append([str(label)] + ["" if v is None else str(v) for v in row])
-    widths = [max(map(len, column)) for column in zip(*lines)]
-    return "\n".join(" ".join(s.rjust(w) for s, w in zip(line, widths)) for line in lines)
+# json writes its rows in blocks of about this many cells, one json.dumps
+# per block: one per row would build an encoder for every row, and one for
+# the whole table would hold a str per cell.
+BLOCK_CELLS = 4096
 
 
-def _table_csv(corner, header, row_labels, rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([corner] + list(header))
-    for label, row in zip(row_labels, rows):
-        writer.writerow([label] + ["" if v is None else v for v in row])
-    return buf.getvalue()
+def _csv(corner, header, labels, rows):
+    """One line a row, cells past the row's end blank.  No int and no corner
+    label needs quoting, so a plain join writes what csv.writer would."""
+    yield ",".join(map(str, (corner, *header))) + "\n"
+    for label, row in zip(labels, rows):
+        yield ",".join(map(str, (label, *row))) + "," * (len(header) - len(row)) + "\n"
 
 
-def _table_json(kind, params, rows) -> str:
-    dense = [[0 if v is None else v for v in row] for row in rows]
-    return json.dumps({"kind": kind, "params": params, "rows": dense})
+def _json(kind, params, width, rows):
+    """The document {"kind", "params", "rows"}, its rows padded with 0 to
+    width cells and written a block at a time."""
+    padded = (row + [0] * (width - len(row)) for row in rows)
+    step = max(1, BLOCK_CELLS // max(width, 1))
+    yield json.dumps({"kind": kind, "params": params})[:-1] + ', "rows": ['
+    sep = ""
+    for block in iter(lambda: list(islice(padded, step)), []):
+        yield sep + json.dumps(block)[1:-1]
+        sep = ", "
+    yield "]}\n"
 
 
-def _padded(jagged, width: int) -> list:
-    """Rows padded to width columns, None marking out-of-support cells."""
-    return [list(r) + [None] * (width - len(r)) for r in jagged]
+def _text(header, labels, rows):
+    """Every column right-aligned to its widest entry, cells past a row's
+    end blank.  The widest decimal int of a column is its largest or its
+    smallest, and a blank, read as 0, is never wider than either."""
+    columns = zip_longest(*rows, fillvalue=0)
+    widths = [max(len(str(h)), len(str(max(c))), len(str(min(c)))) for h, c in zip(header, columns)]
+    label_width = max(len(str(label)) for label in labels)
+    for label, row in chain([("", header)], zip(labels, rows)):
+        cells = map(str.rjust, map(str, row), widths)
+        yield " ".join([str(label).rjust(label_width), *cells, *(" " * w for w in widths[len(row) :])]) + "\n"
 
 
-def _coefficient_rows(jagged):
-    width = max(len(r) for r in jagged)
-    return "r", list(range(width)), list(range(1, len(jagged) + 1)), _padded(jagged, width)
+def _coefficient_rows(rows):
+    return "r", range(max(map(len, rows))), range(1, len(rows) + 1), rows
 
 
 def _p_rows(nmax):
-    return "n", ["p"], list(range(nmax + 1)), [[v] for v in partition_table_pentagonal(nmax).values]
+    return "n", ["p"], range(nmax + 1), [[v] for v in partition_table_pentagonal(nmax).values]
 
 
 def _sr_rows(r, nmax):
     sr = sr_table_gf(r, nmax)
-    rows = _padded((sr.row(n, r, n) for n in range(nmax + 1)), nmax - r + 1)
-    return "n", list(range(r, nmax + 1)), list(range(nmax + 1)), rows
+    return "n", range(r, nmax + 1), range(nmax + 1), [sr.row(n, r, n) for n in range(nmax + 1)]
 
 
 # A table row: the flags it requires, in the order json echoes them, the
-# bytes a run needs from the output format and the flag values, flag values
-# -> (corner, header, row labels, rows), and (header, row labels, rows) ->
-# the text format.
-Table = namedtuple("Table", "flags price build text", defaults=(_table_text,))
+# bytes a run needs from the flag values, flag values -> (corner, header,
+# row labels, rows), the rows as built, and (header, row labels, rows) ->
+# the strs of the text format.
+Table = namedtuple("Table", "flags price build text", defaults=(_text,))
 
 
-def _written(fmt: str, cells: int, bits: int, spread: int) -> int:
-    """Bytes of writing out a table of this many cells in format fmt, no
-    cell over bits bits, so none over 2 + 0.3 bits characters, and the
-    cells together averaging at most 1/spread of that; plus 512 KiB for the
-    command line and the csv writer (322 KiB measured for ten cells in a
-    fresh process, whose first call also makes argparse's lazy imports).
-    Every format holds the rows padded to a rectangle, 8 B a cell.
-    - csv streams the rows into a buffer and copies it out: the output
-      held twice, a separator and the cell's digits per cell.
-    - json and text hold a str per cell while the output is assembled
-      (about 64 B with its list slot; json's encoder holds up to 10^5 of
-      them before it joins them), json's dense copy of the rows (8 B a
-      cell), the digits and the output held twice; text pads every cell
-      to its column's widest, so each is charged the widest digits."""
-    digits = 2 + bits * 3 // 10
-    if fmt == "csv":
-        return (1 << 19) + cells * (8 + 2 * (1 + digits // spread))
-    return (1 << 19) + cells * (80 + 3 * digits)
+def _one_block(width: int, bits: int) -> int:
+    """Bytes of writing a table out whose rows are width cells wide, no cell
+    over bits bits, so none over 2 + 0.3 bits characters: 512 KiB for the
+    command line (322 KiB measured for ten cells in a fresh process, whose
+    first call also makes argparse's lazy imports) and one block of rows
+    being written, at most BLOCK_CELLS + width cells, each at 80 B for its
+    slots and its str object plus 3 B per character: its str, and the
+    block's text joined and copied."""
+    return (1 << 19) + (BLOCK_CELLS + width) * (80 + 3 * (2 + bits * 3 // 10))
 
 
-def _coefficients_written(fmt: str, rmax: int) -> int:
-    """Bytes of writing out the a or b rows for r = 1..rmax, padded to the
-    longest b row, whose rmax(rmax-1)/2 + 1 entries are at least as many as
-    any a row's.  Row r fills about (r/rmax)^2 of its cells, with entries
-    of about r/rmax of the widest's digits: a quarter of them on average."""
-    return _written(fmt, rmax * (rmax * (rmax - 1) // 2 + 1), _coefficient_bits(rmax), 4)
-
-
-# Each price is, from the output format and the flags, the table as built
-# (the a rows hold the b rows too; the p table, its rows of one cell each
-# at 72 B and the pentagonal recurrence's own list) plus writing it out.
-# Half the S^(r) cells are blank, and S^(r)_{n,k} <= p(n - k), whose
-# digits grow as sqrt(n - k): the cells average under a quarter of the
-# digits of p(nmax).
+# Each price is, from the flags, the table as built (the a rows hold the b
+# rows too; the p table, its rows of one cell each at 72 B and the
+# pentagonal recurrence's own list) plus writing it out.
 TABLES = {
     "a": Table(
         ("rmax",),
-        lambda fmt, rmax: 2 * _row_family(rmax) + _coefficients_written(fmt, rmax),
+        lambda rmax: 2 * _row_family(rmax) + _one_block(rmax * (rmax - 1) // 2 + 1, _coefficient_bits(rmax)),
         lambda rmax: _coefficient_rows(build_a(rmax, build_sieve(max(rmax, 1)))),
     ),
     "b": Table(
         ("rmax",),
-        lambda fmt, rmax: _row_family(rmax) + _coefficients_written(fmt, rmax),
+        lambda rmax: _row_family(rmax) + _one_block(rmax * (rmax - 1) // 2 + 1, _coefficient_bits(rmax)),
         lambda rmax: _coefficient_rows(build_b(rmax)),
     ),
     "sr": Table(
         ("r", "nmax"),
-        lambda fmt, r, nmax: (
-            _ints((nmax + 1) ** 2, nmax) + _written(fmt, (nmax + 1) ** 2, _p_bits(nmax), 4)
-        ),
+        lambda r, nmax: _ints((nmax + 1) ** 2, nmax) + _one_block(nmax + 1, _p_bits(nmax)),
         _sr_rows,
     ),
     "p": Table(
         ("nmax",),
-        lambda fmt, nmax: (
-            2 * _ints(nmax + 1, nmax) + 72 * (nmax + 1) + _written(fmt, nmax + 1, _p_bits(nmax), 1)
-        ),
+        lambda nmax: 2 * _ints(nmax + 1, nmax) + 72 * (nmax + 1) + _one_block(1, _p_bits(nmax)),
         _p_rows,
-        lambda header, labels, rows: ",".join(str(row[0]) for row in rows),
+        # p(0), ..., p(nmax) on one line, comma-separated
+        lambda header, labels, rows: chain([str(rows[0][0])], (f",{v}" for [v] in islice(rows, 1, None)), ["\n"]),
     ),
 }
 
 
 def cmd_table(args) -> int:
     table = TABLES[args.kind]
-    command = f"table {args.kind}"
-    price = partial(table.price, args.format)
-    params = _checked_values(args, command, dict.fromkeys(table.flags), price)
+    params = _checked_values(args, f"table {args.kind}", dict.fromkeys(table.flags), table.price)
     corner, header, labels, rows = table.build(**params)
     if args.format == "csv":
-        _emit(_table_csv(corner, header, labels, rows), args.out)
+        chunks = _csv(corner, header, labels, rows)
     elif args.format == "json":
-        _emit(_table_json(args.kind, params, rows), args.out)
+        chunks = _json(args.kind, params, len(header), rows)
     else:
-        _emit(table.text(header, labels, rows), args.out)
+        chunks = table.text(header, labels, rows)
+    _emit(chunks, args.out)
     return EXIT_OK
 
 
@@ -297,9 +279,9 @@ def cmd_verify(args) -> int:
     if report.checked == 0:
         raise ValueError(f"{report.identity} {report.params} checks nothing")
     if args.format == "json":
-        _emit(json.dumps(report.to_dict()), args.out)
+        _emit([json.dumps(report.to_dict()), "\n"], args.out)
     else:
-        _emit(report.summary(), args.out)
+        _emit([report.summary(), "\n"], args.out)
     return EXIT_OK if report.passed else EXIT_VERIFY_FAIL
 
 
@@ -353,14 +335,14 @@ def cmd_examples(args) -> int:
                  "passed": expected == actual}
             )
     if args.format == "json":
-        _emit(json.dumps(results), args.out)
+        _emit([json.dumps(results), "\n"], args.out)
     else:
         lines = []
         for r in results:
             lines.append(f"{'PASS' if r['passed'] else 'FAIL'} {r['name']}: {r['detail']}")
             if not r["passed"]:
                 lines += [f"  expected {r['expected']}", f"  actual   {r['actual']}"]
-        _emit("\n".join(lines), args.out)
+        _emit(["\n".join(lines), "\n"], args.out)
     return EXIT_OK if all(r["passed"] for r in results) else EXIT_VERIFY_FAIL
 
 

@@ -11,7 +11,7 @@ tests/test_independence.py checks that no check takes both sides from one route.
 
 from __future__ import annotations
 
-from itertools import accumulate, chain, islice, repeat
+from itertools import accumulate, chain, count, islice, repeat
 from math import isqrt
 from operator import add, eq, mul, neg, sub
 
@@ -186,6 +186,8 @@ def _sweep(identity: str, params: dict, cap: int, checks) -> VerificationReport:
     report = VerificationReport(identity, params, cap=cap)
     for index, lhs, rhs in checks:
         report.record_all(index, lhs, rhs)
+        # the next check may build the next leg's rows: not with these held
+        del lhs, rhs
     return report
 
 
@@ -197,11 +199,14 @@ def _weighted_vs_p(nmax: int, legs):
     order = nmax + max(offset for _, _, offset, _ in legs)
     sums = weighted_sr_sums(((r, weights) for r, weights, _, _ in legs), order)
     p = None
-    for (_, _, offset, terms), series in zip(legs, sums):
+    # next(sums), not a zip over legs and sums: zip's reused result tuple
+    # would hold each series until the next one is built
+    for _, _, offset, terms in legs:
+        lhs = next(sums).coeffs[offset : offset + nmax + 1]
         # p is built after the first series, so it is not held through that product
         p = p or partition_table_pentagonal(nmax)
-        rhs = _shifted_p_sums(p, terms, nmax + 1)
-        yield series.coeffs[offset : offset + nmax + 1], rhs
+        yield lhs, _shifted_p_sums(p, terms, nmax + 1)
+        del lhs
 
 
 def verify_theorem1(nmax: int, r: int, cap: int = DEFAULT_COUNTEREXAMPLE_CAP) -> VerificationReport:
@@ -220,8 +225,9 @@ def verify_theorem2(nmax: int, rmax: int, cap: int = DEFAULT_COUNTEREXAMPLE_CAP)
     mu = build_sieve(nmax + rmax)
     # Only the right-hand sides read the a rows, each one term at a time.
     legs = [(r, mu, r, ((c, j) for j, c in enumerate(a_row))) for r, a_row in enumerate(build_a(rmax, mu), 1)]
-    rows = enumerate(_weighted_vs_p(nmax, legs), 1)
-    checks = ((lambda n: (r, n), lhs, rhs) for r, (lhs, rhs) in rows)
+    # map, unlike a generator expression or enumerate, holds no leg's rows
+    # once it has passed them on
+    checks = map(lambda r, rows: (lambda n: (r, n), *rows), count(1), _weighted_vs_p(nmax, legs))
     return _sweep("thm2", {"nmax": nmax, "rmax": rmax}, cap, checks)
 
 

@@ -16,6 +16,7 @@ from mobius_partitions.cli import main
 from mobius_partitions.identities import build_a, build_b
 from mobius_partitions.arith import build_sieve, totient_row
 from mobius_partitions.partitions import sr_table_enum
+from identities_reference import closure_build_a
 
 
 def run(capsys, *argv):
@@ -420,8 +421,9 @@ def test_sweep_price_covers_its_peak(name, values):
 @pytest.mark.parametrize("fmt", ["csv", "json", "text"])
 @pytest.mark.parametrize(
     "kind, values",
-    [("sr", {"r": 1, "nmax": 250}), ("b", {"rmax": 60}), ("a", {"rmax": 40}), ("p", {"nmax": 2500})],
-    ids=["sr", "b", "a", "p"],
+    [("sr", {"r": 1, "nmax": 250}), ("b", {"rmax": 60}), ("a", {"rmax": 40}), ("p", {"nmax": 2500}),
+     ("sr", {"r": 1, "nmax": 600})],
+    ids=["sr", "b", "a", "p", "sr-600"],
 )
 def test_table_price_covers_its_peak(tmp_path, kind, values, fmt):
     # the whole command, formatting and writing included
@@ -429,7 +431,7 @@ def test_table_price_covers_its_peak(tmp_path, kind, values, fmt):
     out = tmp_path / "table.out"
     peak = _traced_peak(cli.main, [*argv, "--format", fmt, "--out", str(out)])
     assert out.stat().st_size > 0
-    assert peak <= cli.TABLES[kind].price(fmt, **values)
+    assert peak <= cli.TABLES[kind].price(**values)
 
 
 def test_lambert_price_covers_its_peak():
@@ -464,26 +466,24 @@ def test_sieve_price_covers_its_peak(build, entry_bytes):
     ],
 )
 def test_documented_sizes_are_admitted(command, name, values):
-    if command == "verify":
-        assert cli.IDENTITIES[name].price(**values) <= cli.MEMORY_BUDGET
-    for fmt in ("csv", "json", "text") if command == "table" else ():
-        assert cli.TABLES[name].price(fmt, **values) <= cli.MEMORY_BUDGET
+    registry = cli.IDENTITIES if command == "verify" else cli.TABLES
+    assert registry[name].price(**values) <= cli.MEMORY_BUDGET
 
 
 @pytest.mark.parametrize(
     "argv",
-    [["sr", "--r", "1", "--nmax", "4000"], ["b", "--rmax", "440"], ["a", "--rmax", "357"]],
-    ids=["sr", "b", "a"],
+    [["sr", "--r", "1", "--nmax", "4264"], ["a", "--rmax", "409"], ["b", "--rmax", "445"],
+     ["p", "--nmax", "710648"]],
+    ids=["sr", "a", "b", "p"],
 )
-def test_csv_is_priced_on_its_own(capsys, argv):
-    # csv streams its rows and holds no str per cell, so it is admitted at
-    # sizes that json and text, which hold one, are refused at
-    kind, *flags = argv
-    values = {flag[2:]: int(v) for flag, v in zip(flags[::2], flags[1::2])}
-    assert cli.TABLES[kind].price("csv", **values) <= cli.MEMORY_BUDGET
-    for fmt in ("json", "text"):
+def test_formats_are_priced_alike(capsys, no_allocation, argv):
+    # every format writes one row at a time, so none is refused at a size
+    # the others are admitted at; these are the largest sizes csv was
+    # admitted at when json and text were priced per str cell.  An admitted
+    # run reaches a builder, which raises here.
+    for fmt in ("csv", "json", "text"):
         code, out, err = run(capsys, "table", *argv, "--format", fmt)
-        assert code == cli.EXIT_USAGE and "GiB limit" in err
+        assert (code, out, err) == (cli.EXIT_NUMERIC, "", "numeric error: allocated\n"), fmt
 
 
 def test_registry_matches_readme_and_identities(capsys):
@@ -528,6 +528,38 @@ def test_table_sr_output_is_pinned(capsys, r, fmt):
     code, out, _ = run(capsys, "table", "sr", "--r", str(r), "--nmax", "30", "--format", fmt)
     assert code == 0
     assert out == _sr_rendering(r, 30, fmt)
+
+
+def _coefficient_rendering(kind, rmax, fmt):
+    """table a or table b output for rows r = 1..rmax, from the reference
+    builder for a: columns j up to the longest row's end, cells past a
+    row's end blank in csv and text and 0 in json, text columns
+    right-aligned to their widest entry."""
+    rows = closure_build_a(rmax, build_sieve(rmax)) if kind == "a" else build_b(rmax)
+    width = max(map(len, rows))
+    cells = [row + [None] * (width - len(row)) for row in rows]
+    if fmt == "json":
+        dense = [[0 if v is None else v for v in row] for row in cells]
+        return json.dumps({"kind": kind, "params": {"rmax": rmax}, "rows": dense}) + "\n"
+    lines = [[""] + [str(j) for j in range(width)]]
+    lines += [[str(r)] + ["" if v is None else str(v) for v in row] for r, row in enumerate(cells, 1)]
+    if fmt == "csv":
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows([["r"] + lines[0][1:]] + lines[1:])
+        return buf.getvalue()
+    widths = [max(len(line[i]) for line in lines) for i in range(width + 1)]
+    return "".join(" ".join(v.rjust(w) for v, w in zip(line, widths)) + "\n" for line in lines)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "text"])
+@pytest.mark.parametrize("rmax", [1, 2, 7, 25])
+@pytest.mark.parametrize("kind", ["a", "b"])
+def test_table_coefficient_output_is_pinned(capsys, kind, rmax, fmt):
+    # negative cells, ragged rows padded blank, and at rmax 25 json rows
+    # written in more than one block
+    code, out, _ = run(capsys, "table", kind, "--rmax", str(rmax), "--format", fmt)
+    assert code == 0
+    assert out == _coefficient_rendering(kind, rmax, fmt)
 
 
 def test_examples_all_pass(capsys):

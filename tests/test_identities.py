@@ -1,3 +1,5 @@
+import weakref
+
 import pytest
 
 from mobius_partitions import identities
@@ -433,6 +435,46 @@ def test_theorem2_builds_one_inverse(monkeypatch):
     monkeypatch.setattr(partitions, "pochhammer_inverse", counting)
     assert verify_theorem2(60, 12).passed
     assert starts == [1]
+
+
+def test_theorem2_frees_each_leg_before_the_next(monkeypatch):
+    # no series and no row of leg r is alive when leg r + 1's series is
+    # asked for: each is weakly referenced, the series and its lhs slice
+    # through a wrapped weighted_sr_sums and the rhs through the p sums
+    refs = []
+
+    def tracked(obj):
+        refs.append(weakref.ref(obj))
+        return obj
+
+    class Row(list):
+        pass
+
+    class Coefficients(tuple):
+        def __getitem__(self, key):
+            return tracked(Row(tuple.__getitem__(self, key)))
+
+    class Series:
+        def __init__(self, coeffs):
+            self.coeffs = Coefficients(coeffs)
+
+    real_sums, real_series = identities._shifted_p_sums, identities.weighted_sr_sums
+
+    def weighted_sr_sums(pairs, order):
+        sums = real_series(pairs, order)
+        while True:
+            alive = sum(ref() is not None for ref in refs)
+            assert alive == 0, f"{alive} objects of earlier legs alive as the next series is built"
+            series = next(sums, None)
+            if series is None:
+                return
+            yield tracked(Series(series.coeffs))
+
+    monkeypatch.setattr(identities, "_shifted_p_sums", lambda *args: tracked(Row(real_sums(*args))))
+    monkeypatch.setattr(identities, "weighted_sr_sums", weighted_sr_sums)
+    report = verify_theorem2(40, 6)
+    assert report.passed and report.checked == 6 * 41
+    assert len(refs) == 3 * 6
 
 
 def test_lemma1_builds_each_table_from_its_own_inverse(monkeypatch):

@@ -37,6 +37,7 @@ ROOT = Path(__file__).resolve().parents[1]
 SERIES = "src/mobius_partitions/series.py"
 PARTITIONS = "src/mobius_partitions/partitions.py"
 IDENTITIES = "src/mobius_partitions/identities.py"
+CLI = "src/mobius_partitions/cli.py"
 INDEPENDENCE = "tests/test_independence.py"
 TIMEOUT = 600  # seconds per pytest run
 
@@ -111,6 +112,21 @@ CATALOGUE = (
         "fast.row(n, r, n), slow.row(n, r, n)",
         "fast.row(n, r, n), fast.row(n, r, n)",
         (INDEPENDENCE,),
+    ),
+    # Table writers: each edit changes the bytes of some tables only (a
+    # column whose smallest entry is its widest, json rows in more than one
+    # block), which a pinned rendering covers.
+    Mutant(
+        "text-width-from-column-maximum-only", CLI,
+        "len(str(max(c))), len(str(min(c)))",
+        "len(str(max(c)))",
+        ("tests/test_cli.py::test_table_coefficient_output_is_pinned",),
+    ),
+    Mutant(
+        "json-block-separator-dropped", CLI,
+        '        sep = ", "\n',
+        '        sep = ""\n',
+        ("tests/test_cli.py::test_table_coefficient_output_is_pinned",),
     ),
 )
 
