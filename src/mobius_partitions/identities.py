@@ -11,6 +11,7 @@ tests/test_independence.py checks that no check takes both sides from one route.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from itertools import accumulate, chain, count, islice, repeat
 from math import isqrt
 from operator import add, eq, mul, neg, sub
@@ -38,21 +39,8 @@ def _a_support(r: int) -> int:
     return (r - 1) * (r - 2) // 2 + 1
 
 
-class Counterexample:
-    """A failed check; index is the sweep position, e.g. (n,) or (r, n, k)."""
-
-    __slots__ = ("index", "lhs", "rhs")
-
-    def __init__(self, index: tuple, lhs: int, rhs: int):
-        self.index, self.lhs, self.rhs = index, lhs, rhs
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Counterexample):
-            return NotImplemented
-        return (self.index, self.lhs, self.rhs) == (other.index, other.lhs, other.rhs)
-
-    def to_dict(self) -> dict:
-        return {"index": list(self.index), "lhs": self.lhs, "rhs": self.rhs}
+# A failed check; index is the sweep position, e.g. (n,) or (r, n, k).
+Counterexample = namedtuple("Counterexample", "index lhs rhs")
 
 
 class VerificationReport:
@@ -82,17 +70,19 @@ class VerificationReport:
                 index = index if isinstance(index, tuple) else (index,)
                 self.counterexamples.append(Counterexample(index, lhs, rhs))
 
-    def record_all(self, index, lhs, rhs) -> None:
-        """Count one check per position i of two equal-length rows, named
-        index(i); the same bookkeeping as record at every position, with
-        one C-level pass over rows that agree."""
+    def record_all(self, first: tuple, lhs, rhs) -> None:
+        """Count one check per position i of two equal-length rows, indexed
+        by first with i added to its last coordinate; the same bookkeeping
+        as record at every position, with one C-level pass over rows that
+        agree."""
         if len(lhs) != len(rhs):
             raise ValueError(f"rows of unequal length: {len(lhs)} != {len(rhs)}")
         if all(map(eq, lhs, rhs)):
             self.checked += len(lhs)
             return
-        for i, (left, right) in enumerate(zip(lhs, rhs)):
-            self.record(index(i), left, right)
+        *head, start = first
+        for last, left, right in zip(count(start), lhs, rhs):
+            self.record((*head, last), left, right)
 
     def to_dict(self) -> dict:
         return {
@@ -101,7 +91,7 @@ class VerificationReport:
             "checked": self.checked,
             "failures": self.failures,
             "passed": self.passed,
-            "counterexamples": [c.to_dict() for c in self.counterexamples],
+            "counterexamples": [{"index": list(c.index), "lhs": c.lhs, "rhs": c.rhs} for c in self.counterexamples],
         }
 
     def summary(self) -> str:
@@ -181,11 +171,11 @@ def _shifted_p_sums(p: PartitionTable, terms, count: int) -> list:
 
 
 def _sweep(identity: str, params: dict, cap: int, checks) -> VerificationReport:
-    """The report of one sweep: one record_all per (index, lhs, rhs) in
+    """The report of one sweep: one record_all per (first, lhs, rhs) in
     checks, in order.  A generator of checks makes each row as it is compared."""
     report = VerificationReport(identity, params, cap=cap)
-    for index, lhs, rhs in checks:
-        report.record_all(index, lhs, rhs)
+    for first, lhs, rhs in checks:
+        report.record_all(first, lhs, rhs)
         # the next check may build the next leg's rows: not with these held
         del lhs, rhs
     return report
@@ -215,7 +205,7 @@ def verify_theorem1(nmax: int, r: int, cap: int = DEFAULT_COUNTEREXAMPLE_CAP) ->
         raise ValueError(f"r must be 1 or 2, got {r}")
     [(lhs, p)] = _weighted_vs_p(nmax, [(r, build_sieve(nmax + r), r, ((1, 0),))])
     signed = list(map(mul, repeat((-1) ** (r - 1)), lhs))
-    return _sweep("thm1", {"nmax": nmax, "r": r}, cap, [(lambda n: n, p, signed)])
+    return _sweep("thm1", {"nmax": nmax, "r": r}, cap, [((0,), p, signed)])
 
 
 def verify_theorem2(nmax: int, rmax: int, cap: int = DEFAULT_COUNTEREXAMPLE_CAP) -> VerificationReport:
@@ -227,7 +217,7 @@ def verify_theorem2(nmax: int, rmax: int, cap: int = DEFAULT_COUNTEREXAMPLE_CAP)
     legs = [(r, mu, r, ((c, j) for j, c in enumerate(a_row))) for r, a_row in enumerate(build_a(rmax, mu), 1)]
     # map, unlike a generator expression or enumerate, holds no leg's rows
     # once it has passed them on
-    checks = map(lambda r, rows: (lambda n: (r, n), *rows), count(1), _weighted_vs_p(nmax, legs))
+    checks = map(lambda r, rows: ((r, 0), *rows), count(1), _weighted_vs_p(nmax, legs))
     return _sweep("thm2", {"nmax": nmax, "rmax": rmax}, cap, checks)
 
 
@@ -242,7 +232,7 @@ def verify_weighted_corollary(nmax: int, r: int, cap: int = DEFAULT_COUNTEREXAMP
     mu = build_sieve(max(nmax, 1)).__getitem__
     p = _shifted_p_sums(partition_table_pentagonal(nmax), ((1, r),), nmax + 1)
     sums = [(-1) ** (r - 1) * sum(map(mu, chain.from_iterable(enumerate_partitions(n, r)))) for n in range(nmax + 1)]
-    return _sweep("weighted", {"nmax": nmax, "r": r}, cap, [(lambda n: n, p, sums)])
+    return _sweep("weighted", {"nmax": nmax, "r": r}, cap, [((0,), p, sums)])
 
 
 # which -> S^(r) table r, S-table index offset, first n, difference of p as
@@ -267,21 +257,21 @@ def verify_corollary(which: int, nmax: int, cap: int = DEFAULT_COUNTEREXAMPLE_CA
     which=3: + largest part repeated, nabla^2 p(n)       vs -sum S^(4)_{n+5,k} mu(k)
     which=4: + at most one 2, nabla^2 p(n)-nabla^2 p(n-4) vs -sum S^(5)_{n+5,k} mu(k)
 
-    The enumeration leg is only checked for n <= ENUMERATION_CAP; the
-    difference and Mobius legs cover the full range.
+    The difference of p is checked against the Mobius sum, leg 1, for
+    nmin <= n <= nmax, and against the enumerated count, leg 2, for
+    nmin <= n <= min(nmax, ENUMERATION_CAP): the index of a check is (leg, n).
     """
     if which not in COROLLARY_SPECS:
         raise ValueError(f"which must be 2, 3 or 4, got {which}")
     spec = COROLLARY_SPECS[which]
     offset, nmin = spec["offset"], spec["nmin"]
     [(msum, diff)] = _weighted_vs_p(nmax, [(spec["r"], build_sieve(nmax + offset), offset, spec["diff"])])
-    mobius = list(map(neg, msum))
-    # up to the cap, both legs per n in one pair of interleaved rows,
-    # (difference, difference) against (Mobius, count); past it, one row
-    split = max(nmin, min(nmax, ENUMERATION_CAP) + 1)
-    lhs = list(chain.from_iterable(zip(diff[nmin:split], diff[nmin:split])))
-    rhs = list(chain.from_iterable((mobius[n], count_restricted(n, spec["predicate"])) for n in range(nmin, split)))
-    checks = [(lambda i: nmin + i // 2, lhs, rhs), (lambda i: split + i, diff[split:], mobius[split:])]
+    top = min(nmax, ENUMERATION_CAP)
+    counts = [count_restricted(n, spec["predicate"]) for n in range(nmin, top + 1)]
+    checks = [
+        ((1, nmin), diff[nmin:], list(map(neg, msum[nmin:]))),
+        ((2, nmin), diff[nmin : top + 1], counts),
+    ]
     return _sweep(f"cor{which}", {"nmax": nmax}, cap, checks)
 
 
@@ -295,11 +285,14 @@ def verify_phi_identities(nmax: int, cap: int = DEFAULT_COUNTEREXAMPLE_CAP) -> V
     # Running sums: rhs2(n) = sum_{j<=n} p(j), and rhs1 is the running sum of
     # rhs2 since sum_k (k+1) p(n-k) = sum_{j<=n} (n-j+1) p(j).
     rhs2 = list(accumulate(partition_table_pentagonal(nmax).values))
-    rhs1 = accumulate(rhs2)
-    # three checks per n, in this order: the rows interleave them
-    lhs = chain.from_iterable(zip(s1_phi.coeffs[1:], s2_phi.coeffs[2:], rhs2))
-    rhs = chain.from_iterable(zip(rhs1, rhs2, s1_ones.coeffs[1:]))
-    return _sweep("phi", {"nmax": nmax}, cap, [(lambda i: i // 3, list(lhs), list(rhs))])
+    rhs1 = list(accumulate(rhs2))
+    # one row per form, indexed (form, n), in the order of the docstring
+    checks = [
+        ((1, 0), s1_phi.coeffs[1:order], rhs1),
+        ((2, 0), s2_phi.coeffs[2:], rhs2),
+        ((3, 0), rhs2, s1_ones.coeffs[1:order]),
+    ]
+    return _sweep("phi", {"nmax": nmax}, cap, checks)
 
 
 def _mu_coprime_row(alpha: int, order: int) -> list:
@@ -350,7 +343,7 @@ def verify_prime_corollary(
         terms += [(c_this, power - 1), (c_next, alpha * power - 2)]
         power *= alpha
     [(lhs, rhs)] = _weighted_vs_p(nmax, [(r, weights, r, terms)])
-    return _sweep("prime-alpha", {"nmax": nmax, "alpha": alpha, "which": which}, cap, [(lambda n: n, lhs, rhs)])
+    return _sweep("prime-alpha", {"nmax": nmax, "alpha": alpha, "which": which}, cap, [((0,), lhs, rhs)])
 
 
 def verify_b_symmetry(rmax: int, cap: int = DEFAULT_COUNTEREXAMPLE_CAP) -> VerificationReport:
@@ -366,7 +359,7 @@ def verify_b_symmetry(rmax: int, cap: int = DEFAULT_COUNTEREXAMPLE_CAP) -> Verif
             # j -> b_{r-1,half-j}, both zero-padded to cur's r(r-1)/2 + 1 entries
             at_j = chain(prev, repeat(0, r - 1))
             at_half_minus_j = chain(repeat(0, r - 1), reversed(prev))
-            yield lambda j: (r, j), cur, list(map(sub if r % 2 == 0 else add, at_j, at_half_minus_j))
+            yield (r, 0), cur, list(map(sub if r % 2 == 0 else add, at_j, at_half_minus_j))
     return _sweep("b-symmetry", {"rmax": rmax}, cap, checks())
 
 
@@ -387,7 +380,7 @@ def verify_lemma1(
             hi = build(r + 1, nmax + rmax)
             for n in range(r + 1, nmax + 1):
                 rhs = list(map(sub, lo.row(n + r, r + 1, n), lo.row(n, r + 1, n)))
-                yield lambda i: (r, n, r + 1 + i), hi.row(n + r, r + 1, n), rhs
+                yield (r, n, r + 1), hi.row(n + r, r + 1, n), rhs
             lo = hi
     return _sweep("lemma1", {"nmax": nmax, "rmax": rmax, "route": route}, cap, checks())
 
@@ -398,7 +391,7 @@ def verify_lambert(nmax: int, cap: int = DEFAULT_COUNTEREXAMPLE_CAP) -> Verifica
     expected = [0] * (nmax + 1)
     if nmax >= 1:
         expected[1] = 1
-    return _sweep("lambert", {"nmax": nmax}, cap, [(lambda n: n, series.coeffs, expected)])
+    return _sweep("lambert", {"nmax": nmax}, cap, [((0,), series.coeffs, expected)])
 
 
 def verify_sr_oracle(nmax: int, rmax: int, cap: int = DEFAULT_COUNTEREXAMPLE_CAP) -> VerificationReport:
@@ -411,5 +404,7 @@ def verify_sr_oracle(nmax: int, rmax: int, cap: int = DEFAULT_COUNTEREXAMPLE_CAP
         for r, slow in enumerate(sr_tables_enum(1, rmax, nmax) if rmax >= 1 else (), 1):
             fast = sr_table_gf(r, nmax)
             for n in range(nmax + 1):
-                yield lambda i: (r, n, r + i), fast.row(n, r, n), slow.row(n, r, n)
+                yield (r, n, r), fast.row(n, r, n), slow.row(n, r, n)
+            # the next r's table is built with this one freed
+            del fast
     return _sweep("oracle-sr", {"nmax": nmax, "rmax": rmax}, cap, checks())

@@ -297,7 +297,7 @@ def test_record_all_matches_record(cap):
     rhs = [3, 0, 4, 1, 7, 9, 2, 5]
     report = VerificationReport("demo", {}, cap=cap)
     report.record(0, 1, 1)
-    report.record_all(lambda i: (2, i), lhs, rhs)
+    report.record_all((2, 0), lhs, rhs)
     triples = [((2, i), a, b) for i, (a, b) in enumerate(zip(lhs, rhs))]
     expected = _per_element("demo", cap, [(0, 1, 1)] + triples)
     assert _bookkeeping(report) == _bookkeeping(expected)
@@ -307,7 +307,7 @@ def test_record_all_matches_record(cap):
 def test_record_all_rejects_unequal_rows():
     report = VerificationReport("demo", {})
     with pytest.raises(ValueError, match="unequal"):
-        report.record_all(lambda i: i, [1, 2, 3], [1, 2])
+        report.record_all((0,), [1, 2, 3], [1, 2])
     assert report.checked == 0
 
 
@@ -510,6 +510,29 @@ def test_sr_oracle_scans_each_n_once(monkeypatch):
     assert scans == [(n, 1) for n in range(1, 31)]
 
 
+def test_sr_oracle_frees_each_gf_table_before_the_next(monkeypatch):
+    # the gf table of r is dead when the table of r + 1 is asked for
+    from mobius_partitions.partitions import SrTable
+
+    class Table(SrTable):
+        __slots__ = ("__weakref__",)
+
+    real = identities.sr_table_gf
+    refs = []
+
+    def sr_table_gf(r, limit):
+        alive = [ref().r for ref in refs if ref() is not None]
+        assert alive == [], f"gf tables {alive} alive as table {r} is built"
+        table = real(r, limit)
+        table = Table(table.r, table.limit, table._cells)
+        refs.append(weakref.ref(table))
+        return table
+
+    monkeypatch.setattr(identities, "sr_table_gf", sr_table_gf)
+    assert verify_sr_oracle(20, 5).passed
+    assert len(refs) == 5
+
+
 def test_sr_oracle_rmax_bounds(monkeypatch):
     # rmax = nmax is admitted; rmax > nmax is refused (see test_cli)
     assert verify_sr_oracle(3, 3).checked == 10
@@ -676,9 +699,9 @@ def _evidence(report):
     return report.failures, [(c.index, c.lhs, c.rhs) for c in report.counterexamples]
 
 
-# The expected failures, counterexamples and their order below are those of
-# the per-n sweeps these verifiers replaced, run with the same injected
-# changes.
+# The expected failures and counterexamples below come row by row: every
+# failure of one (first, lhs, rhs) row of checks, by position, before those
+# of the next row.
 
 @pytest.mark.parametrize("cap", [1, 10])
 def test_theorem1_injected_errors(monkeypatch, cap):
@@ -700,7 +723,7 @@ def test_phi_injected_errors(monkeypatch, cap):
     report = verify_phi_identities(30, cap=cap)
     assert report.checked == 3 * 31
     # p = 1, 1, 2, 3, 5, 7: rhs2(3) = 7, rhs2(5) = 19, rhs1(5) = 45
-    assert _evidence(report) == (3, [((3,), 7, 8), ((5,), 46, 45), ((5,), 20, 19)][:cap])
+    assert _evidence(report) == (3, [((1, 5), 46, 45), ((2, 5), 20, 19), ((3, 3), 7, 8)][:cap])
 
 
 @pytest.mark.parametrize("cap", [1, 10])
@@ -739,9 +762,9 @@ def test_corollary3_injected_errors(monkeypatch, cap):
     assert report.checked == 2 * (45 - 3 + 1) + (60 - 45)
     d = [backward_difference(p, 2, n) for n in range(61)]
     expected = [
-        ((8,), d[8], d[8] - 4),
-        ((8,), d[8], d[8] + 1),
-        ((10,), d[10], d[10] + 1),
-        ((50,), d[50], d[50] - 1),
+        ((1, 8), d[8], d[8] - 4),
+        ((1, 10), d[10], d[10] + 1),
+        ((1, 50), d[50], d[50] - 1),
+        ((2, 8), d[8], d[8] + 1),
     ]
     assert _evidence(report) == (4, expected[:cap])

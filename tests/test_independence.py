@@ -17,6 +17,7 @@ from its own inverse.
 """
 
 import re
+from itertools import count
 from pathlib import Path
 
 import pytest
@@ -49,6 +50,11 @@ CASES = [
     ("lambert", {"nmax": 100}),
     ("oracle-sr", {"nmax": 12, "rmax": 4}),
 ]
+EXEMPT_CASES = [("lemma1", {"nmax": 12, "rmax": 3}), ("b-symmetry", {"rmax": 8})]
+
+
+def _case_ids(cases):
+    return [f"{i}-" + "-".join(map(str, v.values())) for i, v in cases]
 
 
 def _shifted(values):
@@ -110,9 +116,10 @@ def _checks(monkeypatch, identity, values):
     """Every (index, lhs, rhs) the sweep compares, in order."""
     seen = []
 
-    def recording(report, index, lhs, rhs):
-        seen.extend(zip(map(index, range(len(lhs))), lhs, rhs))
-        RECORD_ALL(report, index, lhs, rhs)
+    def recording(report, first, lhs, rhs):
+        *head, start = first
+        seen.extend(zip(((*head, last) for last in count(start)), lhs, rhs))
+        RECORD_ALL(report, first, lhs, rhs)
 
     monkeypatch.setattr(VerificationReport, "record_all", recording)
     row = cli.IDENTITIES[identity]
@@ -132,12 +139,19 @@ def test_cases_and_exempt_ids_make_up_the_registry():
     covered = {identity for identity, _ in CASES}
     assert covered | EXEMPT == set(cli.IDENTITIES)
     assert not covered & EXEMPT
+    assert {identity for identity, _ in EXEMPT_CASES} == EXEMPT
     assert set(_readme_routes()) == set(cli.IDENTITIES)
 
 
-@pytest.mark.parametrize(
-    "identity, values", CASES, ids=[f"{i}-" + "-".join(map(str, v.values())) for i, v in CASES]
-)
+@pytest.mark.parametrize("identity, values", CASES + EXEMPT_CASES, ids=_case_ids(CASES + EXEMPT_CASES))
+def test_every_check_has_its_own_index(monkeypatch, identity, values):
+    # past the lowered enumeration cap, cor2-4 check one leg per n
+    monkeypatch.setattr(identities, "ENUMERATION_CAP", 12)
+    indices = [index for index, _, _ in _checks(monkeypatch, identity, values)]
+    assert len(set(indices)) == len(indices)
+
+
+@pytest.mark.parametrize("identity, values", CASES, ids=_case_ids(CASES))
 def test_no_check_takes_both_sides_from_one_route(monkeypatch, identity, values):
     # a low cap puts cor2-4's checks past the enumeration cap within nmax 20
     monkeypatch.setattr(identities, "ENUMERATION_CAP", 12)

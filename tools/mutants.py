@@ -34,6 +34,7 @@ from collections import namedtuple
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+ARITH = "src/mobius_partitions/arith.py"
 SERIES = "src/mobius_partitions/series.py"
 PARTITIONS = "src/mobius_partitions/partitions.py"
 IDENTITIES = "src/mobius_partitions/identities.py"
@@ -44,6 +45,52 @@ TIMEOUT = 600  # seconds per pytest run
 Mutant = namedtuple("Mutant", "name file old new tests")
 
 CATALOGUE = (
+    # The byte-level Mobius sieve.
+    Mutant(
+        "sieve-xor-mask-one-slot-late", ARITH,
+        "flip[s + 1 : limit // k + 1]",
+        "flip[s + 2 : limit // k + 2]",
+        ("tests/test_arith.py::test_mu_against_trial_division",
+         "tests/test_arith.py::test_sieve_matches_linear_sieve"),
+    ),
+    Mutant(
+        "sieve-cofactor-range-one-short", ARITH,
+        "range(1, limit // (s + 1) + 1)",
+        "range(1, limit // (s + 1))",
+        ("tests/test_arith.py::test_sieve_matches_linear_sieve",
+         "tests/test_arith.py::test_sieve_matches_linear_sieve_at_any_limit",
+         "tests/test_acceptance.py::test_c06_lambert_identity"),
+    ),
+    Mutant(
+        "sieve-prime-square-zeroing-dropped", ARITH,
+        "            mu[p * p :: p * p] = bytes(limit // (p * p))\n",
+        "",
+        ("tests/test_arith.py::test_mu_zero_iff_squarefull",
+         "tests/test_arith.py::test_known_mu_values"),
+    ),
+    Mutant(
+        "sieve-bound-one-below-isqrt", ARITH,
+        "\n    s = isqrt(limit)\n",
+        "\n    s = isqrt(limit) - 1\n",
+        ("tests/test_arith.py::test_known_mu_values",
+         "tests/test_arith.py::test_mu_against_trial_division"),
+    ),
+    Mutant(
+        "sieve-cofactor-guard-dropped", ARITH,
+        "        if mu[k]:\n",
+        "        if True:\n",
+        ("tests/test_arith.py::test_mu_against_trial_division",
+         "tests/test_arith.py::test_divisor_sum_identities",
+         "tests/test_series.py::test_lambert_mu_collapses_to_q"),
+    ),
+    Mutant(
+        "sieve-translate-table-not-swapping", ARITH,
+        'bytes.maketrans(b"\\x01\\xff", b"\\xff\\x01")',
+        'bytes.maketrans(b"\\x01\\xff", b"\\x01\\xff")',
+        ("tests/test_arith.py::test_prime_entries",
+         "tests/test_arith.py::test_known_mu_values"),
+    ),
+    # The series kernels.
     Mutant(
         "log-solve-half-read-one-slot-off", SERIES,
         "_mul(g[lo:mid], sigma[: hi - lo], hi - lo - 1, mid - lo)",
@@ -97,8 +144,8 @@ CATALOGUE = (
     ),
     Mutant(
         "thm1-p-side-from-series-row", IDENTITIES,
-        "[(lambda n: n, p, signed)]",
-        "[(lambda n: n, signed, signed)]",
+        "[((0,), p, signed)]",
+        "[((0,), signed, signed)]",
         (INDEPENDENCE, "tests/test_identities.py::test_theorem1_injected_errors"),
     ),
     Mutant(
@@ -112,6 +159,21 @@ CATALOGUE = (
         "fast.row(n, r, n), slow.row(n, r, n)",
         "fast.row(n, r, n), fast.row(n, r, n)",
         (INDEPENDENCE,),
+    ),
+    # Counterexample indices: record_all numbers a row's checks from the last
+    # coordinate of its first index, and a row starts at the n that index
+    # names (here the count row starts at nmin + 1).
+    Mutant(
+        "record-all-start-dropped", IDENTITIES,
+        "count(start)",
+        "count(0)",
+        ("tests/test_identities.py::test_lemma1_injected_errors",),
+    ),
+    Mutant(
+        "cor-count-leg-one-n-late", IDENTITIES,
+        "for n in range(nmin, top + 1)",
+        "for n in range(nmin + 1, top + 1)",
+        (INDEPENDENCE, "tests/test_identities.py::test_corollary3_injected_errors"),
     ),
     # Table writers: each edit changes the bytes of some tables only (a
     # column whose smallest entry is its widest, json rows in more than one
