@@ -22,7 +22,7 @@ from mobius_partitions.partitions import (
     PartitionTable,
     check_enumeration_size,
     count_restricted,
-    enumerate_partitions,
+    part_counts,
     partition_table_pentagonal,
     sr_table_enum,
     sr_table_gf,
@@ -61,13 +61,12 @@ class VerificationReport:
     def passed(self) -> bool:
         return self.failures == 0
 
-    def record(self, index: int | tuple, lhs: int, rhs: int) -> None:
-        """Count one check; index is an int n or a tuple of sweep indices."""
+    def record(self, index: tuple, lhs: int, rhs: int) -> None:
+        """Count one check; index is the tuple of its sweep indices."""
         self.checked += 1
         if lhs != rhs:
             self.failures += 1
             if len(self.counterexamples) < self.cap:
-                index = index if isinstance(index, tuple) else (index,)
                 self.counterexamples.append(Counterexample(index, lhs, rhs))
 
     def record_all(self, first: tuple, lhs, rhs) -> None:
@@ -229,9 +228,9 @@ def verify_weighted_corollary(nmax: int, r: int, cap: int = DEFAULT_COUNTEREXAMP
         raise ValueError(f"r must be 1 or 2, got {r}")
     check_enumeration_size(nmax)
     # Every part lies in r..n <= nmax, inside the sieve.
-    mu = build_sieve(max(nmax, 1)).__getitem__
+    mu = build_sieve(max(nmax, 1))
     p = _shifted_p_sums(partition_table_pentagonal(nmax), ((1, r),), nmax + 1)
-    sums = [(-1) ** (r - 1) * sum(map(mu, chain.from_iterable(enumerate_partitions(n, r)))) for n in range(nmax + 1)]
+    sums = [(-1) ** (r - 1) * sum(map(mul, mu, part_counts(n, r, r)[0])) for n in range(nmax + 1)]
     return _sweep("weighted", {"nmax": nmax, "r": r}, cap, [((0,), p, sums)])
 
 

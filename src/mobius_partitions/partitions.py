@@ -11,8 +11,7 @@ much larger n.
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import groupby, repeat
-from operator import add, itemgetter, sub
+from operator import add, sub
 from typing import Iterator
 
 from mobius_partitions.series import TruncatedSeries, lambert_sum, pochhammer_inverse
@@ -117,6 +116,67 @@ def enumerate_partitions(n: int, min_part: int = 1) -> Iterator[list]:
         yield a[: k + 1]
 
 
+def part_counts(n: int, lo: int, hi: int) -> list:
+    """For s = lo..hi, [the total multiplicity of part k over the partitions
+    of n with smallest part >= s, for k = 0..n], from one AccelAsc walk (as
+    in enumerate_partitions) that passes every partition with parts >= lo.
+
+    t counts the partitions passed.  A part that joins the fixed prefix at
+    count t and leaves it at t' is in the t' - t partitions passed meanwhile,
+    so it is charged -t on joining and +t' on leaving; each family's last
+    two parts and its closing part are counted one partition at a time.
+    Whenever the prefix is empty hist is exact, and the partitions passed are
+    those with smallest part below the next one: below[s - lo] is a copy of
+    hist taken there, and row s is the final hist less it.  In the last
+    family the prefix stays empty, so each member has its own smallest part.
+    """
+    if n < 0 or lo < 1 or hi < lo:
+        raise ValueError(f"bad arguments n={n}, lo={lo}, hi={hi}")
+    hist = [0] * (n + 1)
+    below = [hist[:]]
+
+    def snap(s):
+        while len(below) <= min(s, hi) - lo:
+            below.append(hist[:])
+
+    if n >= lo:
+        a = [0] * (n + 1)
+        a[0] = lo - 1
+        k, y, t = 1, n - lo, 0
+        while True:
+            x = a[k - 1] + 1
+            k -= 1
+            hist[a[k]] += t
+            if not k:
+                snap(x)
+                if 2 * x > y:
+                    break
+            while 2 * x <= y:
+                a[k] = x
+                hist[x] -= t
+                y -= x
+                k += 1
+            while x <= y:
+                hist[x] += 1
+                hist[y] += 1
+                t += 1
+                x += 1
+                y -= 1
+            hist[x + y] += 1
+            t += 1
+            y = x + y - 1
+        while x <= y:
+            snap(x)
+            hist[x] += 1
+            hist[y] += 1
+            x += 1
+            y -= 1
+        snap(n)
+        hist[n] += 1
+    snap(hi)
+    return [list(map(sub, hist, b)) for b in below]
+
+
 class SrTable:
     """Dense table of S^(r)_{n,k} for 0 <= n, k <= limit, read-only after build.
 
@@ -161,13 +221,9 @@ def sr_table_enum(r: int, limit: int) -> SrTable:
 
 
 def sr_tables_enum(rlo: int, rhi: int, limit: int) -> list:
-    """[S^(r) for r = rlo..rhi] from one scan per n of the partitions with
-    every part >= rlo; the brute-force oracle (limit <= ENUMERATION_CAP).
-
-    The scan is in lexicographic order, so the partitions that share a
-    smallest part s come together: their parts are counted into bucket
-    min(s, rhi), and row n of S^(r) is the sum of the buckets s >= r.
-    """
+    """[S^(r) for r = rlo..rhi] from one part_counts scan per n of the
+    partitions with every part >= rlo; the brute-force oracle
+    (limit <= ENUMERATION_CAP)."""
     if rhi < rlo:
         raise ValueError(f"empty range r = {rlo}..{rhi}")
     _check_sr_args(rlo, limit)
@@ -177,15 +233,8 @@ def sr_tables_enum(rlo: int, rhi: int, limit: int) -> list:
     # the cells of S^(r) for r = rlo..rhi, rows below n = rlo left zero
     tables = [[0] * (size * size) for _ in range(rlo, rhi + 1)]
     for n in range(rlo, size):
-        buckets = [[0] * size for _ in range(rlo, rhi + 1)]
-        for smallest, group in groupby(enumerate_partitions(n, rlo), itemgetter(0)):
-            bucket = buckets[min(smallest, rhi) - rlo]
-            for parts in group:
-                for k in parts:
-                    bucket[k] += 1
-        row = repeat(0, size)
-        for cells, bucket in zip(reversed(tables), reversed(buckets)):
-            row = cells[n * size : (n + 1) * size] = list(map(add, row, bucket))
+        for cells, row in zip(tables, part_counts(n, rlo, rhi)):
+            cells[n * size : n * size + n + 1] = row
     return [SrTable(r, limit, cells) for r, cells in enumerate(tables, rlo)]
 
 

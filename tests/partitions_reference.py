@@ -3,10 +3,10 @@
 `triple_loop_sr_rows` is the triple loop that the slice-built
 `sr_table_gf` replaced, and `pentagonal_while_loop` the per-n loop that the
 sliding-sum `partition_table_pentagonal` replaced.  Neither shares code with
-the module it checks.  `per_part_sr_rows` is the loop that the bucketed
-`sr_tables_enum` replaced: it takes its partitions from
-`enumerate_partitions`, which the tests check against a plain recursion, and
-counts them without buckets.  `backward_difference` is the difference of p
+the module it checks.  `per_part_sr_rows` counts every part of every
+partition one at a time, the loop that the prefix-charging `part_counts`
+scan replaced: it takes its partitions from `enumerate_partitions`, which
+the tests check against a plain recursion.  `backward_difference` is the difference of p
 that the corollaries' term lists are checked against.
 """
 

@@ -74,10 +74,10 @@ def test_build_rejects_bad_args():
 
 def test_report_bookkeeping():
     r = VerificationReport("demo", {}, cap=2)
-    r.record(0, 1, 1)
+    r.record((0,), 1, 1)
     assert r.passed
     for n in range(5):
-        r.record(n, 0, 1)
+        r.record((n,), 0, 1)
     assert not r.passed
     assert r.failures == 5
     assert len(r.counterexamples) == 2
@@ -88,7 +88,7 @@ def test_report_bookkeeping():
 
 def test_report_keeps_full_index():
     r = VerificationReport("demo", {})
-    r.record(7, 1, 2)
+    r.record((7,), 1, 2)
     r.record((46, 1000), 1, 2)
     r.record((47, 0), 3, 4)
     assert [c["index"] for c in r.to_dict()["counterexamples"]] == [[7], [46, 1000], [47, 0]]
@@ -296,10 +296,10 @@ def test_record_all_matches_record(cap):
     lhs = [3, 1, 4, 1, 5, 9, 2, 6]
     rhs = [3, 0, 4, 1, 7, 9, 2, 5]
     report = VerificationReport("demo", {}, cap=cap)
-    report.record(0, 1, 1)
+    report.record((0,), 1, 1)
     report.record_all((2, 0), lhs, rhs)
     triples = [((2, i), a, b) for i, (a, b) in enumerate(zip(lhs, rhs))]
-    expected = _per_element("demo", cap, [(0, 1, 1)] + triples)
+    expected = _per_element("demo", cap, [((0,), 1, 1)] + triples)
     assert _bookkeeping(report) == _bookkeeping(expected)
     assert report.failures == 3 and len(report.counterexamples) == min(cap, 3)
 
@@ -329,7 +329,7 @@ def test_lambert_injected_error(monkeypatch, cap):
     monkeypatch.setattr(identities, "lambert_sum", broken)
     report = verify_lambert(40, cap=cap)
     expected = _per_element(
-        "lambert", cap, [(n, int(n in (1, 7)), int(n == 1)) for n in range(41)]
+        "lambert", cap, [((n,), int(n in (1, 7)), int(n == 1)) for n in range(41)]
     )
     assert _bookkeeping(report) == _bookkeeping(expected)
     assert report.failures == 1
@@ -499,15 +499,15 @@ def test_sr_oracle_scans_each_n_once(monkeypatch):
     from mobius_partitions import partitions
 
     scans = []
-    real = partitions.enumerate_partitions
+    real = partitions.part_counts
 
-    def counting(n, min_part=1):
-        scans.append((n, min_part))
-        return real(n, min_part)
+    def counting(n, lo, hi):
+        scans.append((n, lo, hi))
+        return real(n, lo, hi)
 
-    monkeypatch.setattr(partitions, "enumerate_partitions", counting)
+    monkeypatch.setattr(partitions, "part_counts", counting)
     assert verify_sr_oracle(30, 5).passed
-    assert scans == [(n, 1) for n in range(1, 31)]
+    assert scans == [(n, 1, 5) for n in range(1, 31)]
 
 
 def test_sr_oracle_frees_each_gf_table_before_the_next(monkeypatch):

@@ -9,6 +9,7 @@ from mobius_partitions.partitions import (
     SrTable,
     count_restricted,
     enumerate_partitions,
+    part_counts,
     partition_table_gf,
     partition_table_pentagonal,
     sr_table_enum,
@@ -236,6 +237,51 @@ def test_sr_tables_enum_matches_per_part_loop(limit):
             for t in tables:
                 rows = [t.row(n, 0, limit) for n in range(limit + 1)]
                 assert rows == reference[t.r], (rlo, rhi, t.r)
+
+
+@pytest.fixture(scope="module")
+def per_part_rows():
+    """s -> the per-part loop's S^(s) rows for n <= 30."""
+    return {s: per_part_sr_rows(s, 30) for s in range(1, 9)}
+
+
+def test_part_counts_matches_per_part_loop(per_part_rows):
+    for n in range(1, 31):
+        for lo in range(1, min(n, 8) + 1):
+            for hi in range(lo, min(n, 8) + 1):
+                expected = [per_part_rows[s][n][: n + 1] for s in range(lo, hi + 1)]
+                assert part_counts(n, lo, hi) == expected, (n, lo, hi)
+
+
+def test_part_counts_below_lo_and_at_zero():
+    # no partition of n has every part >= lo > n, and the empty partition of 0 has no parts
+    for n in range(8):
+        for lo in range(n + 1, 10):
+            assert part_counts(n, lo, lo + 2) == [[0] * (n + 1)] * 3
+    assert part_counts(0, 1, 4) == [[0]] * 4
+
+
+def test_part_counts_in_the_last_family():
+    # with smallest part >= 4 the partitions of 10 are [4, 6], [5, 5] and [10]:
+    # the last family, with an empty prefix, one smallest part each
+    rows = part_counts(10, 1, 12)
+    only_ten = [0] * 10 + [1]
+    assert rows[3] == [0, 0, 0, 0, 1, 2, 1, 0, 0, 0, 1]
+    assert rows[4] == [0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 1]
+    assert rows[5:10] == [only_ten] * 5
+    assert rows[10:] == [[0] * 11] * 2
+
+
+def test_part_counts_adds_up_to_n_per_partition():
+    for n in range(31):
+        for s, hist in enumerate(part_counts(n, 1, 8), 1):
+            assert sum(k * c for k, c in enumerate(hist)) == n * len(parts_of(n, s)), (n, s)
+
+
+def test_part_counts_bad_args():
+    for args in [(-1, 1, 1), (5, 0, 2), (5, 3, 2)]:
+        with pytest.raises(ValueError):
+            part_counts(*args)
 
 
 def test_sr_tables_enum_bad_args():

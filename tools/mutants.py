@@ -132,6 +132,22 @@ CATALOGUE = (
         ("tests/test_series.py::test_mul_full_slots",
          "tests/test_series.py::test_mul_reads_from_start"),
     ),
+    # The enumeration oracle's counting scan: each edit leaves the walk and
+    # its partition count alone and miscounts the parts.
+    Mutant(
+        "part-counts-pop-charge-dropped", PARTITIONS,
+        "            hist[a[k]] += t\n",
+        "",
+        ("tests/test_partitions.py::test_part_counts_matches_per_part_loop",
+         "tests/test_partitions.py::test_sr_tables_enum_matches_per_part_loop"),
+    ),
+    Mutant(
+        "part-counts-empty-prefix-copy-skipped", PARTITIONS,
+        "                snap(x)\n                if 2 * x > y:\n",
+        "                if 2 * x > y:\n",
+        ("tests/test_partitions.py::test_part_counts_matches_per_part_loop",
+         "tests/test_partitions.py::test_sr_tables_enum_matches_per_part_loop"),
+    ),
     # Route leaks: one check takes both of its sides from one route.  The
     # values stay right, so only a test that perturbs what a route returns
     # sees them.
@@ -170,10 +186,19 @@ CATALOGUE = (
         ("tests/test_identities.py::test_lemma1_injected_errors",),
     ),
     Mutant(
-        "cor-count-leg-one-n-late", IDENTITIES,
+        "cor-count-leg-one-n-short", IDENTITIES,
         "for n in range(nmin, top + 1)",
         "for n in range(nmin + 1, top + 1)",
         (INDEPENDENCE, "tests/test_identities.py::test_corollary3_injected_errors"),
+    ),
+    # the same row at full length, one n late: each side still comes from
+    # its own route, so the independence tests see it only in the unpoisoned
+    # run's pass
+    Mutant(
+        "cor-count-leg-one-n-late", IDENTITIES,
+        "for n in range(nmin, top + 1)",
+        "for n in range(nmin + 1, top + 2)",
+        (INDEPENDENCE,),
     ),
     # Table writers: each edit changes the bytes of some tables only (a
     # column whose smallest entry is its widest, json rows in more than one
