@@ -20,8 +20,8 @@ from mobius_partitions.arith import build_sieve
 from mobius_partitions.identities import build_a, build_b
 from mobius_partitions.partitions import (
     count_restricted,
+    part_counts,
     partition_table_pentagonal,
-    sr_table_enum,
     sr_table_gf,
 )
 
@@ -288,8 +288,8 @@ def cmd_verify(args) -> int:
 def _thm1_example(r: int, n: int) -> dict:
     """Theorem 1 with S-index n: the terms (-1)^(r-1) S^(r)_{n,k} mu(k) for
     k = r..n, by enumeration, their total, and p(n - r)."""
-    mu, s = build_sieve(n), sr_table_enum(r, n)
-    terms = [(-1) ** (r - 1) * s.count(n, k) * mu[k] for k in range(r, n + 1)]
+    mu, [row] = build_sieve(n), part_counts(n, r, r)
+    terms = [(-1) ** (r - 1) * row[k] * mu[k] for k in range(r, n + 1)]
     return {"terms": terms, "total": sum(terms), f"p{n - r}": partition_table_pentagonal(n).value(n - r)}
 
 
@@ -298,10 +298,10 @@ def _corollary_example(which: int, n: int) -> dict:
     count, the Mobius sum by enumeration and the difference of p."""
     spec = identities.COROLLARY_SPECS[which]
     r, m = spec["r"], n + spec["offset"]
-    mu, s, p = build_sieve(m), sr_table_enum(r, m), partition_table_pentagonal(n)
+    mu, [row], p = build_sieve(m), part_counts(m, r, r), partition_table_pentagonal(n)
     return {
         "count": count_restricted(n, spec["predicate"]),
-        "mobius_sum": -sum(s.count(m, k) * mu[k] for k in range(r, m + 1)),
+        "mobius_sum": -sum(row[k] * mu[k] for k in range(r, m + 1)),
         "difference": sum(c * p.value(n - shift) for c, shift in spec["diff"]),
     }
 

@@ -26,7 +26,6 @@ from mobius_partitions.partitions import (
     partition_table_pentagonal,
     sr_table_enum,
     sr_table_gf,
-    sr_tables_enum,
     weighted_sr_sums,
 )
 from mobius_partitions.series import lambert_sum
@@ -395,15 +394,20 @@ def verify_lambert(nmax: int, cap: int = DEFAULT_COUNTEREXAMPLE_CAP) -> Verifica
 
 def verify_sr_oracle(nmax: int, rmax: int, cap: int = DEFAULT_COUNTEREXAMPLE_CAP) -> VerificationReport:
     """Generating-function S-tables, one r at a time, against the enumeration
-    oracle (nmax <= ENUMERATION_CAP), whose tables all come from one scan per n."""
+    oracle (nmax <= ENUMERATION_CAP), whose rows all come from one scan per n."""
     check_enumeration_size(nmax)
     if rmax > nmax:
         raise ValueError(f"rmax={rmax} exceeds nmax={nmax}: S^(r) needs r <= nmax")
     def checks():
-        for r, slow in enumerate(sr_tables_enum(1, rmax, nmax) if rmax >= 1 else (), 1):
+        if rmax < 1:
+            return
+        # scans[n][r - 1][r : n + 1] is the enumerated S^(r) row at n; the
+        # partition of 0 has no parts
+        scans = [[[]] * rmax] + [part_counts(n, 1, rmax) for n in range(1, nmax + 1)]
+        for r in range(1, rmax + 1):
             fast = sr_table_gf(r, nmax)
-            for n in range(nmax + 1):
-                yield (r, n, r), fast.row(n, r, n), slow.row(n, r, n)
+            for n, slow in enumerate(scans):
+                yield (r, n, r), fast.row(n, r, n), slow[r - 1][r : n + 1]
             # the next r's table is built with this one freed
             del fast
     return _sweep("oracle-sr", {"nmax": nmax, "rmax": rmax}, cap, checks())

@@ -119,7 +119,8 @@ def enumerate_partitions(n: int, min_part: int = 1) -> Iterator[list]:
 def part_counts(n: int, lo: int, hi: int) -> list:
     """For s = lo..hi, [the total multiplicity of part k over the partitions
     of n with smallest part >= s, for k = 0..n], from one AccelAsc walk (as
-    in enumerate_partitions) that passes every partition with parts >= lo.
+    in enumerate_partitions) that passes every partition with parts >= lo
+    (n <= ENUMERATION_CAP).
 
     t counts the partitions passed.  A part that joins the fixed prefix at
     count t and leaves it at t' is in the t' - t partitions passed meanwhile,
@@ -132,6 +133,7 @@ def part_counts(n: int, lo: int, hi: int) -> list:
     """
     if n < 0 or lo < 1 or hi < lo:
         raise ValueError(f"bad arguments n={n}, lo={lo}, hi={hi}")
+    check_enumeration_size(n)
     hist = [0] * (n + 1)
     below = [hist[:]]
 
@@ -216,26 +218,16 @@ class SrTable:
 
 
 def sr_table_enum(r: int, limit: int) -> SrTable:
-    """S^(r) by scanning partitions; the brute-force oracle (limit <= ENUMERATION_CAP)."""
-    return sr_tables_enum(r, r, limit)[0]
-
-
-def sr_tables_enum(rlo: int, rhi: int, limit: int) -> list:
-    """[S^(r) for r = rlo..rhi] from one part_counts scan per n of the
-    partitions with every part >= rlo; the brute-force oracle
+    """S^(r) from one part_counts scan per n; the brute-force oracle
     (limit <= ENUMERATION_CAP)."""
-    if rhi < rlo:
-        raise ValueError(f"empty range r = {rlo}..{rhi}")
-    _check_sr_args(rlo, limit)
-    _check_sr_args(rhi, limit)
+    _check_sr_args(r, limit)
     check_enumeration_size(limit)
     size = limit + 1
-    # the cells of S^(r) for r = rlo..rhi, rows below n = rlo left zero
-    tables = [[0] * (size * size) for _ in range(rlo, rhi + 1)]
-    for n in range(rlo, size):
-        for cells, row in zip(tables, part_counts(n, rlo, rhi)):
-            cells[n * size : n * size + n + 1] = row
-    return [SrTable(r, limit, cells) for r, cells in enumerate(tables, rlo)]
+    # rows below n = r stay zero
+    cells = [0] * (size * size)
+    for n in range(r, size):
+        cells[n * size : n * size + n + 1] = part_counts(n, r, r)[0]
+    return SrTable(r, limit, cells)
 
 
 def sr_table_gf(r: int, limit: int) -> SrTable:
@@ -312,13 +304,14 @@ _RESTRICTIONS = {
 
 def count_restricted(n: int, predicate: str) -> int:
     """Count the partitions of n with no part 1 that satisfy a named
-    predicate, by enumeration.
+    predicate, by enumeration (n <= ENUMERATION_CAP).
 
     Predicates: "no-ones"; "no-ones-and-largest-repeated";
     "no-ones-at-most-one-two-largest-repeated".
     """
     if predicate not in _RESTRICTIONS:
         raise ValueError(f"unknown predicate {predicate!r}")
+    check_enumeration_size(n)
     scan = enumerate_partitions(n, 2)
     test = _RESTRICTIONS[predicate]
     if test is None:

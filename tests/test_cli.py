@@ -301,7 +301,7 @@ def no_allocation(monkeypatch):
         raise AssertionError("allocated")
 
     names = (
-        "build_sieve", "totient_row", "build_a", "build_b", "sr_table_gf", "sr_table_enum", "sr_tables_enum",
+        "build_sieve", "totient_row", "build_a", "build_b", "sr_table_gf", "sr_table_enum", "part_counts",
         "partition_table_pentagonal",
     )
     for module in (cli, identities):

@@ -496,16 +496,14 @@ def test_lemma1_builds_each_table_from_its_own_inverse(monkeypatch):
 
 
 def test_sr_oracle_scans_each_n_once(monkeypatch):
-    from mobius_partitions import partitions
-
     scans = []
-    real = partitions.part_counts
+    real = identities.part_counts
 
     def counting(n, lo, hi):
         scans.append((n, lo, hi))
         return real(n, lo, hi)
 
-    monkeypatch.setattr(partitions, "part_counts", counting)
+    monkeypatch.setattr(identities, "part_counts", counting)
     assert verify_sr_oracle(30, 5).passed
     assert scans == [(n, 1, 5) for n in range(1, 31)]
 
@@ -540,7 +538,7 @@ def test_sr_oracle_rmax_bounds(monkeypatch):
     def refuse(*args):
         raise AssertionError("built")
 
-    for name in ("sr_table_gf", "sr_tables_enum"):
+    for name in ("sr_table_gf", "part_counts"):
         monkeypatch.setattr(identities, name, refuse)
     # rmax = 0 checks nothing, which the CLI refuses, and builds nothing
     assert verify_sr_oracle(5, 0).checked == 0
@@ -664,7 +662,7 @@ def test_p_oracle_runs_without_series(monkeypatch):
 
 def test_enumeration_oracle_runs_without_series(monkeypatch):
     from mobius_partitions import partitions, series
-    from mobius_partitions.partitions import count_restricted, sr_tables_enum
+    from mobius_partitions.partitions import count_restricted
 
     def refuse(*args):
         raise AssertionError("series kernel called")
@@ -673,7 +671,7 @@ def test_enumeration_oracle_runs_without_series(monkeypatch):
         for name in ("_mul", "_log_solve", "lambert_sum", "pochhammer", "pochhammer_inverse"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse)
-    assert [t.count(12, 3) for t in sr_tables_enum(1, 4, 12)] == [45, 14, 8, 0]
+    assert [sr_table_enum(r, 12).count(12, 3) for r in range(1, 5)] == [45, 14, 8, 0]
     assert verify_weighted_corollary(25, 1).passed and verify_weighted_corollary(25, 2).passed
     assert count_restricted(12, "no-ones-at-most-one-two-largest-repeated") == 4
 

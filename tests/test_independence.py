@@ -93,7 +93,6 @@ ROUTES = {
         "enumerate_partitions": _with_extra_partition,
         "count_restricted": lambda real: lambda n, predicate: real(n, predicate) + 3**n,
         "part_counts": lambda real: lambda n, lo, hi: [_shifted(row) for row in real(n, lo, hi)],
-        "sr_tables_enum": lambda real: lambda *args: [_shifted_table(t) for t in real(*args)],
     },
     # build_b stays: shifted b rows would trip build_a's support assertion
     "recurrence": {

@@ -14,7 +14,6 @@ from mobius_partitions.partitions import (
     partition_table_pentagonal,
     sr_table_enum,
     sr_table_gf,
-    sr_tables_enum,
     weighted_sr_sums,
 )
 from mobius_partitions.series import TruncatedSeries, lambert_sum, pochhammer_inverse
@@ -229,14 +228,12 @@ def test_sr_routes_agree():
 
 @pytest.mark.parametrize("limit", range(1, 21))
 def test_sr_tables_enum_matches_per_part_loop(limit):
-    reference = {r: per_part_sr_rows(r, limit) for r in range(1, limit + 1)}
-    for rlo in range(1, limit + 1):
-        for rhi in range(rlo, limit + 1):
-            tables = sr_tables_enum(rlo, rhi, limit)
-            assert [(t.r, t.limit) for t in tables] == [(r, limit) for r in range(rlo, rhi + 1)]
-            for t in tables:
-                rows = [t.row(n, 0, limit) for n in range(limit + 1)]
-                assert rows == reference[t.r], (rlo, rhi, t.r)
+    # every enumerated table sr_table_enum(r, limit), r = 1..limit
+    for r in range(1, limit + 1):
+        t = sr_table_enum(r, limit)
+        assert (t.r, t.limit) == (r, limit)
+        rows = [t.row(n, 0, limit) for n in range(limit + 1)]
+        assert rows == per_part_sr_rows(r, limit), r
 
 
 @pytest.fixture(scope="module")
@@ -285,14 +282,31 @@ def test_part_counts_bad_args():
 
 
 def test_sr_tables_enum_bad_args():
-    with pytest.raises(ValueError, match="empty range"):
-        sr_tables_enum(3, 2, 10)
+    # the argument checks of the enumerated tables, sr_table_enum(r, limit)
     with pytest.raises(ValueError):
-        sr_tables_enum(0, 2, 10)
+        sr_table_enum(0, 10)
     with pytest.raises(ValueError, match="smaller than r=6"):
-        sr_tables_enum(1, 6, 5)
+        sr_table_enum(6, 5)
     with pytest.raises(ValueError, match="capped"):
-        sr_tables_enum(1, 6, ENUMERATION_CAP + 1)
+        sr_table_enum(6, ENUMERATION_CAP + 1)
+
+
+def test_enumeration_walks_are_capped(monkeypatch):
+    p = partition_table_pentagonal(ENUMERATION_CAP)
+    [hist] = part_counts(ENUMERATION_CAP, 1, 1)
+    assert sum(k * c for k, c in enumerate(hist)) == ENUMERATION_CAP * p.value(ENUMERATION_CAP)
+    assert count_restricted(ENUMERATION_CAP, "no-ones") == backward_difference(p, 1, ENUMERATION_CAP)
+
+    def refuse(*args):
+        raise AssertionError("walked")
+
+    monkeypatch.setattr(partitions, "enumerate_partitions", refuse)
+    with pytest.raises(ValueError, match="capped"):
+        count_restricted(ENUMERATION_CAP + 1, "no-ones")
+    # at n = 200 an uncapped walk would pass 4.0e12 partitions
+    for n in (ENUMERATION_CAP + 1, 200):
+        with pytest.raises(ValueError, match="capped"):
+            part_counts(n, 1, 1)
 
 
 @pytest.mark.parametrize("r", range(1, 7))

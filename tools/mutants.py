@@ -145,8 +145,9 @@ CATALOGUE = (
         "part-counts-empty-prefix-copy-skipped", PARTITIONS,
         "                snap(x)\n                if 2 * x > y:\n",
         "                if 2 * x > y:\n",
+        # a one-row scan (lo = hi) takes no copy, so the tests read rows s > lo
         ("tests/test_partitions.py::test_part_counts_matches_per_part_loop",
-         "tests/test_partitions.py::test_sr_tables_enum_matches_per_part_loop"),
+         "tests/test_identities.py::test_sr_oracle"),
     ),
     # Route leaks: one check takes both of its sides from one route.  The
     # values stay right, so only a test that perturbs what a route returns
@@ -172,9 +173,18 @@ CATALOGUE = (
     ),
     Mutant(
         "oracle-sr-gf-table-against-itself", IDENTITIES,
-        "fast.row(n, r, n), slow.row(n, r, n)",
+        "fast.row(n, r, n), slow[r - 1][r : n + 1]",
         "fast.row(n, r, n), fast.row(n, r, n)",
         (INDEPENDENCE,),
+    ),
+    # The oracle's enumerated side: one scan per n holds the rows of every
+    # r, and the check must read the row of its own r.
+    Mutant(
+        "oracle-sr-reads-the-row-of-r-minus-one", IDENTITIES,
+        "slow[r - 1][r : n + 1]",
+        "slow[r - 2][r : n + 1]",
+        ("tests/test_identities.py::test_sr_oracle",
+         "tests/test_acceptance.py::test_c05_oracle_equivalence"),
     ),
     # Counterexample indices: record_all numbers a row's checks from the last
     # coordinate of its first index, and a row starts at the n that index
