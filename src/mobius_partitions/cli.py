@@ -111,8 +111,9 @@ IDENTITIES = {
     "lambert": Identity(
         "verify_lambert", {"nmax": 200}, lambda nmax: MU_ENTRY_BYTES * nmax + _ints(nmax + 1, 0)
     ),
-    # one enumerated table per r, all filled by one scan, and one gf table
-    # at a time, every cell priced as a p-sized int
+    # the scan rows of every r at each n, about rmax (N+1)^2 / 2 cells, and
+    # one gf table at a time, (N+1)^2 cells; every cell is priced as a
+    # p-sized int, and the scan rows at rmax (N+1)^2, twice what they hold
     "oracle-sr": Identity(
         "verify_sr_oracle", {"nmax": 30, "rmax": 4},
         lambda nmax, rmax: _ints((rmax + 1) * (nmax + 1) ** 2, nmax),

@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import namedtuple
 from itertools import accumulate, chain, count, islice, repeat
 from math import isqrt
-from operator import add, eq, mul, neg, sub
+from operator import add, eq, mul, sub
 
 from mobius_partitions.arith import build_sieve, totient_row
 from mobius_partitions.partitions import (
@@ -180,20 +180,23 @@ def _sweep(identity: str, params: dict, cap: int, checks) -> VerificationReport:
 
 
 def _weighted_vs_p(nmax: int, legs):
-    """For each leg (r, weights, offset, terms) of the list legs, in turn,
-    two rows for n = 0..nmax: sum_k S^(r)_{n+offset,k} w(k), from one
-    weighted_sr_sums pass over every leg (so r must not decrease), and sum
-    c p(n - s) over the (c, s) in terms, from one pentagonal p."""
-    order = nmax + max(offset for _, _, offset, _ in legs)
-    sums = weighted_sr_sums(((r, weights) for r, weights, _, _ in legs), order)
+    """For each leg (first, r, weights, offset, terms) of the list legs, in
+    turn, the check (first, lhs, rhs) over n = first[-1]..nmax: lhs is
+    sum_k S^(r)_{n+offset,k} w(k), from one weighted_sr_sums pass over every
+    leg (so r must not decrease), and rhs is sum c p(n - s) over the (c, s)
+    in terms, from one pentagonal p.  weights is the statement's weight row,
+    its sign included."""
+    order = nmax + max(offset for _, _, _, offset, _ in legs)
+    sums = weighted_sr_sums(((r, weights) for _, r, weights, _, _ in legs), order)
     p = None
     # next(sums), not a zip over legs and sums: zip's reused result tuple
     # would hold each series until the next one is built
-    for _, _, offset, terms in legs:
-        lhs = next(sums).coeffs[offset : offset + nmax + 1]
+    for first, _, _, offset, terms in legs:
+        nmin = first[-1]
+        lhs = next(sums).coeffs[offset + nmin : offset + nmax + 1]
         # p is built after the first series, so it is not held through that product
         p = p or partition_table_pentagonal(nmax)
-        yield lhs, _shifted_p_sums(p, terms, nmax + 1)
+        yield first, lhs, _shifted_p_sums(p, terms, nmax + 1)[nmin:]
         del lhs
 
 
@@ -201,9 +204,9 @@ def verify_theorem1(nmax: int, r: int, cap: int = DEFAULT_COUNTEREXAMPLE_CAP) ->
     """p(n) = (-1)^(r-1) sum_k S^(r)_{n+r,k} mu(k) for r in {1, 2}."""
     if r not in (1, 2):
         raise ValueError(f"r must be 1 or 2, got {r}")
-    [(lhs, p)] = _weighted_vs_p(nmax, [(r, build_sieve(nmax + r), r, ((1, 0),))])
-    signed = list(map(mul, repeat((-1) ** (r - 1)), lhs))
-    return _sweep("thm1", {"nmax": nmax, "r": r}, cap, [((0,), p, signed)])
+    weights = [(-1) ** (r - 1) * m for m in build_sieve(nmax + r)]
+    [(first, lhs, p)] = _weighted_vs_p(nmax, [((0,), r, weights, r, ((1, 0),))])
+    return _sweep("thm1", {"nmax": nmax, "r": r}, cap, [(first, p, lhs)])
 
 
 def verify_theorem2(nmax: int, rmax: int, cap: int = DEFAULT_COUNTEREXAMPLE_CAP) -> VerificationReport:
@@ -212,11 +215,8 @@ def verify_theorem2(nmax: int, rmax: int, cap: int = DEFAULT_COUNTEREXAMPLE_CAP)
         raise ValueError(f"rmax must be >= 1, got {rmax}")
     mu = build_sieve(nmax + rmax)
     # Only the right-hand sides read the a rows, each one term at a time.
-    legs = [(r, mu, r, ((c, j) for j, c in enumerate(a_row))) for r, a_row in enumerate(build_a(rmax, mu), 1)]
-    # map, unlike a generator expression or enumerate, holds no leg's rows
-    # once it has passed them on
-    checks = map(lambda r, rows: ((r, 0), *rows), count(1), _weighted_vs_p(nmax, legs))
-    return _sweep("thm2", {"nmax": nmax, "rmax": rmax}, cap, checks)
+    legs = [((r, 0), r, mu, r, ((c, j) for j, c in enumerate(a_row))) for r, a_row in enumerate(build_a(rmax, mu), 1)]
+    return _sweep("thm2", {"nmax": nmax, "rmax": rmax}, cap, _weighted_vs_p(nmax, legs))
 
 
 def verify_weighted_corollary(nmax: int, r: int, cap: int = DEFAULT_COUNTEREXAMPLE_CAP) -> VerificationReport:
@@ -227,9 +227,9 @@ def verify_weighted_corollary(nmax: int, r: int, cap: int = DEFAULT_COUNTEREXAMP
         raise ValueError(f"r must be 1 or 2, got {r}")
     check_enumeration_size(nmax)
     # Every part lies in r..n <= nmax, inside the sieve.
-    mu = build_sieve(max(nmax, 1))
+    weights = [(-1) ** (r - 1) * m for m in build_sieve(max(nmax, 1))]
     p = _shifted_p_sums(partition_table_pentagonal(nmax), ((1, r),), nmax + 1)
-    sums = [(-1) ** (r - 1) * sum(map(mul, mu, part_counts(n, r, r)[0])) for n in range(nmax + 1)]
+    sums = [sum(map(mul, weights, part_counts(n, r, r)[0])) for n in range(nmax + 1)]
     return _sweep("weighted", {"nmax": nmax, "r": r}, cap, [((0,), p, sums)])
 
 
@@ -263,13 +263,11 @@ def verify_corollary(which: int, nmax: int, cap: int = DEFAULT_COUNTEREXAMPLE_CA
         raise ValueError(f"which must be 2, 3 or 4, got {which}")
     spec = COROLLARY_SPECS[which]
     offset, nmin = spec["offset"], spec["nmin"]
-    [(msum, diff)] = _weighted_vs_p(nmax, [(spec["r"], build_sieve(nmax + offset), offset, spec["diff"])])
+    weights = [-m for m in build_sieve(nmax + offset)]
+    [(first, msum, diff)] = _weighted_vs_p(nmax, [((1, nmin), spec["r"], weights, offset, spec["diff"])])
     top = min(nmax, ENUMERATION_CAP)
     counts = [count_restricted(n, spec["predicate"]) for n in range(nmin, top + 1)]
-    checks = [
-        ((1, nmin), diff[nmin:], list(map(neg, msum[nmin:]))),
-        ((2, nmin), diff[nmin : top + 1], counts),
-    ]
+    checks = [(first, diff, msum), ((2, nmin), diff[: top + 1 - nmin], counts)]
     return _sweep(f"cor{which}", {"nmax": nmax}, cap, checks)
 
 
@@ -291,14 +289,6 @@ def verify_phi_identities(nmax: int, cap: int = DEFAULT_COUNTEREXAMPLE_CAP) -> V
         ((3, 0), rhs2, s1_ones.coeffs[1:order]),
     ]
     return _sweep("phi", {"nmax": nmax}, cap, checks)
-
-
-def _mu_coprime_row(alpha: int, order: int) -> list:
-    """[mu(k) if alpha does not divide k else 0, for k = 0..order], from a
-    sieve to order."""
-    row = list(build_sieve(order))
-    row[::alpha] = [0] * (order // alpha + 1)
-    return row
 
 
 # which -> (S^(r) table r, sign of the row mu(k) [alpha does not divide k],
@@ -334,14 +324,15 @@ def verify_prime_corollary(
         raise ValueError(f"alpha={alpha} is over 10^12, the largest alpha tested for primality")
     if alpha < 2 or any(alpha % d == 0 for d in range(2, isqrt(alpha) + 1)):
         raise ValueError(f"alpha={alpha} is not prime")
-    weights = list(map(mul, repeat(sign), _mu_coprime_row(alpha, nmax + r)))
+    weights = [sign * m for m in build_sieve(nmax + r)]
+    weights[::alpha] = [0] * ((nmax + r) // alpha + 1)
     terms = []
     power = 1
     while power <= nmax + 1:
         terms += [(c_this, power - 1), (c_next, alpha * power - 2)]
         power *= alpha
-    [(lhs, rhs)] = _weighted_vs_p(nmax, [(r, weights, r, terms)])
-    return _sweep("prime-alpha", {"nmax": nmax, "alpha": alpha, "which": which}, cap, [((0,), lhs, rhs)])
+    checks = _weighted_vs_p(nmax, [((0,), r, weights, r, terms)])
+    return _sweep("prime-alpha", {"nmax": nmax, "alpha": alpha, "which": which}, cap, checks)
 
 
 def verify_b_symmetry(rmax: int, cap: int = DEFAULT_COUNTEREXAMPLE_CAP) -> VerificationReport:

@@ -638,3 +638,49 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["bogus-command"])
     assert exc.value.code == 2
+
+
+def test_names_the_benchmark_reads(monkeypatch):
+    # perfbench/checks.py calls these by position, and perfbench/tracing.py
+    # binds the arguments of these by name, retypes each gf table and wraps
+    # the series product: a rename here breaks the benchmark and, but for
+    # this test, no other tier-1 test
+    import inspect
+
+    from mobius_partitions import arith, partitions, series
+
+    assert partitions.partition_table_gf(10).values[10] == 42
+    assert sum(1 for _ in partitions.enumerate_partitions(10)) == 42
+    assert partitions.sr_table_enum(3, 12).count(12, 3) == 8
+    assert tuple(series.pochhammer(1, 2, 4).coeffs) == (1, -1, -1, 1, 0)
+    for fn, names in (
+        (arith.build_sieve, {"limit"}),
+        (series.pochhammer, {"start", "factors", "order"}),
+        (series.lambert_sum, {"order"}),
+        (partitions.sr_table_gf, {"r", "limit"}),
+    ):
+        assert names <= set(inspect.signature(fn).parameters), fn.__name__
+
+    class Counting(partitions.SrTable):
+        __slots__ = ()
+
+    table = partitions.sr_table_gf(3, 12)
+    table.__class__ = Counting
+    assert table.count(12, 3) == 8
+
+    products = []
+    real = series.TruncatedSeries.__mul__
+
+    def counted(self, other):
+        products.append(None)
+        return real(self, other)
+
+    monkeypatch.setattr(series.TruncatedSeries, "__mul__", counted)
+    one = series.TruncatedSeries([1, 1])
+    assert (one * one).coeffs == (1, 2) and len(products) == 1
+
+    small = {"nmax": 8, "rmax": 3, "r": 1, "alpha": 2, "which": "i"}
+    for name, row in cli.IDENTITIES.items():
+        verifier = getattr(identities, row.verifier)
+        report = verifier(**row.fixed, **{flag: small[flag] for flag in row.flags})
+        assert report.checked > 0 and report.failures == 0, name

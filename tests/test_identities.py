@@ -185,16 +185,31 @@ def test_prime_corollary_errors():
         verify_prime_corollary(10, 2, "iii")
 
 
+class _Captured(Exception):
+    pass
+
+
 @pytest.mark.parametrize("alpha", [2, 3, 5, 7])
-def test_prime_alpha_weight_rows_match_linear_sieve(alpha):
-    # forms i and ii weight by the negated row: mu(alpha k) = -mu(k) [alpha
-    # does not divide k] for prime alpha
-    mu = linear_sieve(alpha * 200)[0]
-    for order in range(1, 201):
-        scaled = [mu[alpha * k] for k in range(order + 1)]
-        coprime = [mu[k] if k % alpha else 0 for k in range(order + 1)]
-        assert [-m for m in identities._mu_coprime_row(alpha, order)] == scaled, order
-        assert list(identities._mu_coprime_row(alpha, order)) == coprime, order
+def test_prime_alpha_weight_rows_match_linear_sieve(monkeypatch, alpha):
+    # forms i and ii weight by mu(alpha k), which is -mu(k) [alpha does not
+    # divide k] for prime alpha; the alternate form by mu(k) [alpha does not
+    # divide k].  The double captures the row each form hands over.
+    def capture(pairs, order):
+        raise _Captured(list(pairs), order)
+
+    monkeypatch.setattr(identities, "weighted_sr_sums", capture)
+    mu = linear_sieve(alpha * 202)[0]
+    for nmax in (0, 1, 2, 3, 7, 12, 30, 63, 64, 101, 150, 199, 200):
+        for which, r, scaled in (("i", 1, True), ("ii", 2, True), ("alternate-form", 1, False)):
+            with pytest.raises(_Captured) as caught:
+                verify_prime_corollary(nmax, alpha, which)
+            [(r_seen, weights)], order = caught.value.args
+            assert (r_seen, order) == (r, nmax + r)
+            if scaled:
+                expected = [mu[alpha * k] for k in range(order + 1)]
+            else:
+                expected = [mu[k] if k % alpha else 0 for k in range(order + 1)]
+            assert list(weights) == expected, (which, nmax)
 
 
 def test_b_symmetry():
@@ -697,6 +712,21 @@ def _evidence(report):
     return report.failures, [(c.index, c.lhs, c.rhs) for c in report.counterexamples]
 
 
+def test_signed_weight_rows_keep_products_unsigned(monkeypatch):
+    # thm1 at r = 2 and cor2 weight by -mu, whose Lambert series from k = r
+    # on has no negative term, so neither operand of the product is signed
+    real = TruncatedSeries.__mul__
+    lows = []
+
+    def recording(self, other):
+        lows.append(min(min(self.coeffs), min(other.coeffs)))
+        return real(self, other)
+
+    monkeypatch.setattr(TruncatedSeries, "__mul__", recording)
+    assert verify_theorem1(200, 2).passed and verify_corollary(2, 200).passed
+    assert len(lows) == 2 and min(lows) >= 0, lows
+
+
 # The expected failures and counterexamples below come row by row: every
 # failure of one (first, lhs, rhs) row of checks, by position, before those
 # of the next row.
@@ -706,8 +736,9 @@ def test_theorem1_injected_errors(monkeypatch, cap):
     from mobius_partitions.partitions import partition_table_pentagonal
 
     p = partition_table_pentagonal(60).values
-    # r = 2: the left-hand side at n is -coefficient(n + 2)
-    _bump_products(monkeypatch, [(0, 40 + 2, 3), (0, 7 + 2, -1)])
+    # r = 2: the weight row carries the sign, so the right-hand side at n is
+    # coefficient(n + 2)
+    _bump_products(monkeypatch, [(0, 40 + 2, -3), (0, 7 + 2, 1)])
     report = verify_theorem1(60, 2, cap=cap)
     assert report.checked == 61
     assert _evidence(report) == (2, [((7,), p[7], p[7] + 1), ((40,), p[40], p[40] - 3)][:cap])
@@ -754,8 +785,9 @@ def test_corollary3_injected_errors(monkeypatch, cap):
         return backward_difference(p, 2, n) + (n == 8)
 
     monkeypatch.setattr(identities, "count_restricted", enumerated)
-    # the Mobius leg at n is -coefficient(n + 5)
-    _bump_products(monkeypatch, [(0, 50 + 5, 1), (0, 10 + 5, -1), (0, 8 + 5, 4)])
+    # the weight row carries the sign, so the Mobius leg at n is
+    # coefficient(n + 5)
+    _bump_products(monkeypatch, [(0, 50 + 5, -1), (0, 10 + 5, 1), (0, 8 + 5, -4)])
     report = verify_corollary(3, 60, cap=cap)
     assert report.checked == 2 * (45 - 3 + 1) + (60 - 45)
     d = [backward_difference(p, 2, n) for n in range(61)]

@@ -161,8 +161,8 @@ CATALOGUE = (
     ),
     Mutant(
         "thm1-p-side-from-series-row", IDENTITIES,
-        "[((0,), p, signed)]",
-        "[((0,), signed, signed)]",
+        "[(first, p, lhs)]",
+        "[(first, lhs, lhs)]",
         (INDEPENDENCE, "tests/test_identities.py::test_theorem1_injected_errors"),
     ),
     Mutant(
@@ -185,6 +185,20 @@ CATALOGUE = (
         "slow[r - 2][r : n + 1]",
         ("tests/test_identities.py::test_sr_oracle",
          "tests/test_acceptance.py::test_c05_oracle_equivalence"),
+    ),
+    # Weighted legs: the statement's sign lives in the weight row, and a
+    # leg's first index names the first n it checks.
+    Mutant(
+        "thm1-weight-row-without-its-sign", IDENTITIES,
+        "[(-1) ** (r - 1) * m for m in build_sieve(nmax + r)]",
+        "list(build_sieve(nmax + r))",
+        ("tests/test_identities.py::test_theorem1_injected_errors",),
+    ),
+    Mutant(
+        "thm2-leg-first-one-n-late", IDENTITIES,
+        "[((r, 0), r, mu, r,",
+        "[((r, 1), r, mu, r,",
+        ("tests/test_identities.py::test_theorem2_injected_error",),
     ),
     # Counterexample indices: record_all numbers a row's checks from the last
     # coordinate of its first index, and a row starts at the n that index
