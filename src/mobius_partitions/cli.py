@@ -2,7 +2,7 @@
 and replay of the worked examples.
 
 Exit codes: 0 pass, 1 verification failure, 2 usage error, 3 internal
-numeric error.
+error: a numeric fault, an index fault or out of memory.
 """
 
 from __future__ import annotations
@@ -372,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("identity")
     common(pv, ("json", "text"))
     pv.add_argument("--which", default=None, help="sub-identity (prime-alpha: i, ii, alternate-form)")
-    pv.add_argument("--max-counterexamples", type=int, default=10)
+    pv.add_argument("--max-counterexamples", type=int, default=identities.DEFAULT_COUNTEREXAMPLE_CAP)
     pv.set_defaults(func=cmd_verify)
 
     pe = sub.add_parser("examples", help="replay the worked examples")
@@ -388,11 +388,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, IndexError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (OverflowError, ArithmeticError, AssertionError) as exc:
+    except (ArithmeticError, AssertionError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except IndexError as exc:
+        # no flag value reaches a table read out of range: the fault is ours
+        print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except MemoryError:
         # not exit 1, which means that a verification failed

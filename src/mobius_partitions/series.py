@@ -78,11 +78,12 @@ def _mul(a: Sequence[int], b: Sequence[int], order: int, start: int = 0) -> list
         of w bits is wide enough for every c to satisfy c < 2^w, and no
         slot borrows;
       - c + 2^(w-1) otherwise (the biased signed read): the slot has one
-        bit more, so that |c| < 2^(w-1), and negative terms are packed into
-        a second integer and subtracted, so slots borrow from their
+        bit more, so that |c| < 2^(w-1).  One bias serves both ends: _pack
+        writes a signed operand's slots as a[i] + 2^(w-1) and subtracts
+        2^(w-1) from all of them at once, so slots borrow from their
         neighbours; adding 2^(w-1) to every slot of the truncated product
-        puts each slot at c + 2^(w-1), in 0..2^w - 1, with no carry to
-        undo, and 2^(w-1) is subtracted from each slot read.
+        puts each at c + 2^(w-1), in 0..2^w - 1, with no carry to undo,
+        and 2^(w-1) is subtracted from each slot read.
     Slots below start are never unpacked, and start past order + 1 gives [].
 
     Kernels call this directly, so that TruncatedSeries.__mul__ stays the
@@ -143,17 +144,14 @@ def _trimmed(a: Sequence[int], order: int) -> Sequence[int]:
 
 
 def _pack(a: Sequence[int], width: int) -> int:
-    """sum_i a[i] 2^(8 width i), every |a[i]| < 2^(8 width)."""
+    """sum_i a[i] 2^(8 width i), every a[i] < 2^(8 width) when none is
+    negative, else every |a[i]| < 2^(8 width - 1): then one pass writes each
+    slot as a[i] + 2^(8 width - 1), and one subtraction takes the bias out."""
     if min(a) >= 0:
         return int.from_bytes(b"".join(map(int.to_bytes, a, repeat(width), repeat("little"))), "little")
-    zero = bytes(width)
-    pos = int.from_bytes(
-        b"".join(c.to_bytes(width, "little") if c > 0 else zero for c in a), "little"
-    )
-    neg = int.from_bytes(
-        b"".join((-c).to_bytes(width, "little") if c < 0 else zero for c in a), "little"
-    )
-    return pos - neg
+    half = 1 << (8 * width - 1)
+    biased = b"".join(map(int.to_bytes, map(half.__add__, a), repeat(width), repeat("little")))
+    return int.from_bytes(biased, "little") - int.from_bytes(half.to_bytes(width, "little") * len(a), "little")
 
 
 # Below this many terms the online convolution in _log_solve runs as a

@@ -272,6 +272,23 @@ def test_out_of_memory_is_numeric_error(capsys, monkeypatch):
     assert err.startswith("error:") and "memory" in err
 
 
+def test_index_fault_is_internal_error(capsys, monkeypatch):
+    # no flag value reaches a table read out of range, so one is a fault of
+    # the program, not a usage error
+    def out_of_range(nmax, cap):
+        raise IndexError("n=11 outside 0..10")
+
+    monkeypatch.setattr(identities, "verify_lambert", out_of_range)
+    code, out, err = run(capsys, "verify", "lambert", "--nmax", "10")
+    assert (code, out) == (cli.EXIT_NUMERIC, "")
+    assert err == "internal error: n=11 outside 0..10\n"
+
+
+def test_counterexample_cap_default_is_the_identities_constant():
+    args = cli.build_parser().parse_args(["verify", "thm1"])
+    assert args.max_counterexamples == identities.DEFAULT_COUNTEREXAMPLE_CAP
+
+
 def test_verify_refuses_csv_format(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "thm1", "--nmax", "5", "--format", "csv"])

@@ -132,6 +132,21 @@ CATALOGUE = (
         ("tests/test_series.py::test_mul_full_slots",
          "tests/test_series.py::test_mul_reads_from_start"),
     ),
+    # The biased pack of a signed operand: its bias must leave every slot.
+    Mutant(
+        "signed-pack-bias-one-slot-short", SERIES,
+        'half.to_bytes(width, "little") * len(a)',
+        'half.to_bytes(width, "little") * (len(a) - 1)',
+        ("tests/test_series.py::test_mul_full_slots",
+         "tests/test_series.py::test_mul_matches_schoolbook"),
+    ),
+    Mutant(
+        "signed-pack-bias-left-in", SERIES,
+        'int.from_bytes(biased, "little") - int.from_bytes(',
+        'int.from_bytes(biased, "little") + 0 * int.from_bytes(',
+        ("tests/test_series.py::test_mul_full_slots",
+         "tests/test_series.py::test_mul_matches_schoolbook"),
+    ),
     # The enumeration oracle's counting scan: each edit leaves the walk and
     # its partition count alone and miscounts the parts.
     Mutant(
