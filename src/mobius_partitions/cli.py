@@ -402,7 +402,3 @@ def main(argv=None) -> int:
         # not exit 1, which means that a verification failed
         print("error: out of memory; try smaller sizes", file=sys.stderr)
         return EXIT_NUMERIC
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -392,9 +392,8 @@ def verify_sr_oracle(nmax: int, rmax: int, cap: int = DEFAULT_COUNTEREXAMPLE_CAP
     def checks():
         if rmax < 1:
             return
-        # scans[n][r - 1][r : n + 1] is the enumerated S^(r) row at n; the
-        # partition of 0 has no parts
-        scans = [[[]] * rmax] + [part_counts(n, 1, rmax) for n in range(1, nmax + 1)]
+        # scans[n][r - 1][r : n + 1] is the enumerated S^(r) row at n
+        scans = [part_counts(n, 1, rmax) for n in range(nmax + 1)]
         for r in range(1, rmax + 1):
             fast = sr_table_gf(r, nmax)
             for n, slow in enumerate(scans):

@@ -13,20 +13,16 @@ from collections import deque
 from itertools import compress, repeat
 from math import isqrt
 from operator import add, mul, sub
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 
 class TruncatedSeries:
-    """Immutable formal power series modulo q^(order+1)."""
+    """Immutable series modulo q^(order+1), from at most order+1 coeffs (zero-padded)."""
 
     __slots__ = ("order", "coeffs")
 
-    def __init__(self, coeffs: Iterable[int], order: Optional[int] = None):
+    def __init__(self, coeffs: Iterable[int], order: int):
         coeffs = tuple(coeffs)
-        if order is None:
-            if not coeffs:
-                raise ValueError("empty coefficient list and no order given")
-            order = len(coeffs) - 1
         if order < 0:
             raise ValueError(f"order must be >= 0, got {order}")
         if len(coeffs) > order + 1:
@@ -159,12 +155,11 @@ def _pack(a: Sequence[int], width: int) -> int:
 _POCHHAMMER_BASE = 32
 
 
-def pochhammer(start: int, factors: Optional[int], order: int) -> TruncatedSeries:
-    """Truncated q-Pochhammer product prod_k (1 - q^(start+k)).
+def pochhammer(start: int, factors: int, order: int) -> TruncatedSeries:
+    """Truncated q-Pochhammer product prod_{k=0..factors-1} (1 - q^(start+k)).
 
-    With factors=m the product has exactly m terms, k = 0..m-1.  With
-    factors=None ("infinite") factors are included while start+k <= order:
-    every omitted factor is congruent to 1 modulo q^(order+1).
+    Factors with start+k > order are congruent to 1 modulo q^(order+1), so
+    any factors >= order - start + 1 gives (q^start; q)_inf to that order.
 
     The product G over the exponent set S is found from its logarithmic
     derivative: q G'/G = -sum_k sigma_S(k) q^k, with sigma_S(k) the sum of
@@ -174,9 +169,9 @@ def pochhammer(start: int, factors: Optional[int], order: int) -> TruncatedSerie
     """
     if start < 1:
         raise ValueError(f"start must be >= 1, got {start}")
-    if factors is not None and factors < 0:
+    if factors < 0:
         raise ValueError(f"factor count must be >= 0, got {factors}")
-    stop = order + 1 if factors is None else min(start + factors, order + 1)
+    stop = min(start + factors, order + 1)
     weights = [0] * (order + 1)
     weights[start:stop] = range(-start, -stop, -1)
     return _log_solve(lambert_sum(weights, order).coeffs, order)
@@ -210,23 +205,21 @@ def _log_solve(sigma: Sequence[int], order: int) -> TruncatedSeries:
     with lo <= j < n, in one C-level sum of products.
     """
     g = [1] + [0] * order
-
-    def solve(lo: int, hi: int) -> None:
-        if hi - lo <= _POCHHAMMER_BASE:
-            for n in range(max(lo, 1), hi):
-                # sigma[n - j] g[j] for j = lo..n-1; exact: n g_n is the sum
-                g[n] = (g[n] + sum(map(mul, sigma[n - lo : 0 : -1], g[lo:n]))) // n
-            return
-        mid = (lo + hi) // 2
-        solve(lo, mid)
-        g[mid:hi] = map(add, g[mid:hi], _mul(g[lo:mid], sigma[: hi - lo], hi - lo - 1, mid - lo))
-        solve(mid, hi)
-
-    solve(0, order + 1)
-    # solve's closure holds solve itself; deleting it frees g and sigma now,
-    # not at the next garbage collection
-    del solve
+    _solve(g, sigma, 0, order + 1)
     return TruncatedSeries(g, order)
+
+
+def _solve(g: list, sigma: Sequence[int], lo: int, hi: int) -> None:
+    """Solve g[lo:hi] of _log_solve's recurrence in place (see _log_solve)."""
+    if hi - lo <= _POCHHAMMER_BASE:
+        for n in range(max(lo, 1), hi):
+            # sigma[n - j] g[j] for j = lo..n-1; exact: n g_n is the sum
+            g[n] = (g[n] + sum(map(mul, sigma[n - lo : 0 : -1], g[lo:n]))) // n
+        return
+    mid = (lo + hi) // 2
+    _solve(g, sigma, lo, mid)
+    g[mid:hi] = map(add, g[mid:hi], _mul(g[lo:mid], sigma[: hi - lo], hi - lo - 1, mid - lo))
+    _solve(g, sigma, mid, hi)
 
 
 def lambert_sum(weights: Sequence[int], order: int) -> TruncatedSeries:

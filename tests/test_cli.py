@@ -2,6 +2,7 @@ import ast
 import csv
 import io
 import json
+import os
 import re
 import shlex
 import subprocess
@@ -657,6 +658,23 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
+def test_module_entry_point_runs(tmp_path):
+    # python -m mobius_partitions runs __main__.py, the package's one entry
+    # point besides the mobius-partitions console script
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+
+    def run_module(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "mobius_partitions", *argv],
+            capture_output=True, text=True, timeout=60, cwd=tmp_path, env=env,
+        )
+
+    proc = run_module("verify", "thm1", "--nmax", "20")
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert any(line.startswith("PASS thm1 ") for line in proc.stdout.splitlines())
+    assert run_module("verify", "thm1", "--which", "ii").returncode == 2
+
+
 def test_names_the_benchmark_reads(monkeypatch):
     # perfbench/checks.py calls these by position, and perfbench/tracing.py
     # binds the arguments of these by name, retypes each gf table and wraps
@@ -693,7 +711,7 @@ def test_names_the_benchmark_reads(monkeypatch):
         return real(self, other)
 
     monkeypatch.setattr(series.TruncatedSeries, "__mul__", counted)
-    one = series.TruncatedSeries([1, 1])
+    one = series.TruncatedSeries([1, 1], 1)
     assert (one * one).coeffs == (1, 2) and len(products) == 1
 
     small = {"nmax": 8, "rmax": 3, "r": 1, "alpha": 2, "which": "i"}

@@ -106,6 +106,18 @@ CATALOGUE = (
          "tests/test_series.py::test_pochhammer_matches_inplace_product"),
     ),
     Mutant(
+        "log-solve-upper-half-one-slot-late", SERIES,
+        "_solve(g, sigma, mid, hi)",
+        "_solve(g, sigma, mid + 1, hi)",
+        ("tests/test_series.py::test_pochhammer_inverse_matches_schoolbook",),
+    ),
+    Mutant(
+        "pochhammer-one-factor-short", SERIES,
+        "min(start + factors, order + 1)",
+        "min(start + factors - 1, order + 1)",
+        ("tests/test_series.py::test_pochhammer_known_rows",),
+    ),
+    Mutant(
         "shifted-adds-slice-off-by-one", SERIES,
         "dense[lo:hi]",
         "dense[lo : hi - 1]",
