@@ -234,17 +234,19 @@ def verify_weighted_corollary(nmax: int, r: int, cap: int = DEFAULT_COUNTEREXAMP
 
 
 # which -> S^(r) table r, S-table index offset, first n, difference of p as
-# (coefficient, shift) terms of p(n - shift), count_restricted predicate
+# (coefficient, shift) terms of p(n - shift), and the test on the ascending
+# part list of a partition with no 1's that it counts (None: every one)
 COROLLARY_SPECS = {
     # nabla p(n) = p(n) - p(n-1)
-    2: dict(r=3, offset=3, nmin=0, diff=((1, 0), (-1, 1)),
-            predicate="no-ones"),
-    # nabla^2 p(n) = p(n) - 2 p(n-1) + p(n-2)
+    2: dict(r=3, offset=3, nmin=0, diff=((1, 0), (-1, 1)), predicate=None),
+    # nabla^2 p(n) = p(n) - 2 p(n-1) + p(n-2); largest part repeated
     3: dict(r=4, offset=5, nmin=3, diff=((1, 0), (-2, 1), (1, 2)),
-            predicate="no-ones-and-largest-repeated"),
-    # nabla^2 p(n) - nabla^2 p(n-4)
+            predicate=lambda a: len(a) > 1 and a[-1] == a[-2]),
+    # nabla^2 p(n) - nabla^2 p(n-4); also at most one 2: with parts >= 2 in
+    # ascending order, a second 2 sits at a[1], tested last, since "largest
+    # part repeated" fails more often
     4: dict(r=5, offset=5, nmin=6, diff=((1, 0), (-2, 1), (1, 2), (-1, 4), (2, 5), (-1, 6)),
-            predicate="no-ones-at-most-one-two-largest-repeated"),
+            predicate=lambda a: len(a) > 1 and a[-1] == a[-2] and a[1:2] != [2]),
 }
 
 

@@ -291,29 +291,12 @@ def _check_sr_args(r: int, limit: int) -> None:
         raise ValueError(f"limit {limit} smaller than r={r}")
 
 
-# predicate name -> test on the ascending part list of a partition with no
-# 1's, or None where every such partition counts
-_RESTRICTIONS = {
-    "no-ones": None,
-    "no-ones-and-largest-repeated": lambda a: len(a) > 1 and a[-1] == a[-2],
-    # at most one 2: with parts >= 2 in ascending order, a second 2 sits at
-    # a[1]; tested last, since "largest part repeated" fails more often
-    "no-ones-at-most-one-two-largest-repeated": lambda a: len(a) > 1 and a[-1] == a[-2] and a[1:2] != [2],
-}
-
-
-def count_restricted(n: int, predicate: str) -> int:
-    """Count the partitions of n with no part 1 that satisfy a named
-    predicate, by enumeration (n <= ENUMERATION_CAP).
-
-    Predicates: "no-ones"; "no-ones-and-largest-repeated";
-    "no-ones-at-most-one-two-largest-repeated".
-    """
-    if predicate not in _RESTRICTIONS:
-        raise ValueError(f"unknown predicate {predicate!r}")
+def count_restricted(n: int, test) -> int:
+    """Count the partitions of n with no part 1 whose ascending part list
+    passes test, or all of them when test is None, by enumeration
+    (n <= ENUMERATION_CAP)."""
     check_enumeration_size(n)
     scan = enumerate_partitions(n, 2)
-    test = _RESTRICTIONS[predicate]
     if test is None:
         # counted with no call per partition (n = 0 yields the empty one)
         return sum(1 for _ in scan)

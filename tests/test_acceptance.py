@@ -11,6 +11,7 @@ import pytest
 from mobius_partitions.arith import build_sieve
 from mobius_partitions.cli import main
 from mobius_partitions.identities import (
+    COROLLARY_SPECS,
     build_a,
     build_b,
     verify_b_symmetry,
@@ -101,17 +102,16 @@ def test_c07_lemma_sweep():
 
 def test_c08_combinatorial_interpretations():
     p = partition_table_pentagonal(45)
+    cor2, cor3, cor4 = (COROLLARY_SPECS[which]["predicate"] for which in (2, 3, 4))
     ok = True
     for n in range(46):
-        ok &= count_restricted(n, "no-ones") == backward_difference(p, 1, n)
+        ok &= count_restricted(n, cor2) == backward_difference(p, 1, n)
         if n >= 3:
-            ok &= count_restricted(n, "no-ones-and-largest-repeated") == (
-                backward_difference(p, 2, n)
-            )
+            ok &= count_restricted(n, cor3) == backward_difference(p, 2, n)
         if n >= 6:
-            ok &= count_restricted(
-                n, "no-ones-at-most-one-two-largest-repeated"
-            ) == backward_difference(p, 2, n) - backward_difference(p, 2, n - 4)
+            ok &= count_restricted(n, cor4) == (
+                backward_difference(p, 2, n) - backward_difference(p, 2, n - 4)
+            )
     report("8 restricted counts vs differences n<=45", ok)
 
 

@@ -70,6 +70,8 @@ def test_build_rejects_bad_args():
         build_a(0, build_sieve(5))
     with pytest.raises(ValueError):
         build_a(10, build_sieve(5))
+    with pytest.raises(ValueError, match="rmax must be >= 2, got 1"):
+        verify_b_symmetry(1)
 
 
 def test_report_bookkeeping():
@@ -688,7 +690,7 @@ def test_enumeration_oracle_runs_without_series(monkeypatch):
                 monkeypatch.setattr(module, name, refuse)
     assert [sr_table_enum(r, 12).count(12, 3) for r in range(1, 5)] == [45, 14, 8, 0]
     assert verify_weighted_corollary(25, 1).passed and verify_weighted_corollary(25, 2).passed
-    assert count_restricted(12, "no-ones-at-most-one-two-largest-repeated") == 4
+    assert count_restricted(12, identities.COROLLARY_SPECS[4]["predicate"]) == 4
 
 
 def _bump_products(monkeypatch, changes):

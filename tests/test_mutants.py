@@ -1,4 +1,5 @@
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -13,3 +14,13 @@ _spec.loader.exec_module(mutants)
 def test_mutant_old_text_occurs_once(mutant):
     # the runner itself is not run here: one pytest per mutant takes minutes
     assert (ROOT / mutant.file).read_text().count(mutant.old) == 1
+
+
+def test_committed_record_matches_catalogue():
+    # MUTANTS.json is written by the runner; a mutant added or edited
+    # without a rerun leaves it stale
+    record = json.loads((ROOT / "MUTANTS.json").read_text())["mutants"]
+    assert [(m["name"], m["file"], m["tests"]) for m in record] == [
+        (m.name, m.file, list(m.tests)) for m in mutants.CATALOGUE
+    ]
+    assert all(m["status"] == "killed" for m in record)

