@@ -1,3 +1,5 @@
+import inspect
+
 import pytest
 
 from mobius_partitions import partitions
@@ -5,6 +7,7 @@ from mobius_partitions.arith import build_sieve, totient_row
 from mobius_partitions.identities import COROLLARY_SPECS
 from mobius_partitions.partitions import (
     ENUMERATION_CAP,
+    SrTable,
     count_restricted,
     enumerate_partitions,
     part_counts,
@@ -155,6 +158,14 @@ def test_enumerate_yields_fresh_lists():
     assert len(seen) == 15
 
 
+def test_tracer_reads_these_signatures():
+    # the benchmark tracer wraps these by name and binds their arguments
+    assert inspect.isgeneratorfunction(enumerate_partitions)
+    assert list(inspect.signature(enumerate_partitions).parameters) == ["n", "min_part"]
+    for fn in (sr_table_enum, sr_table_gf):
+        assert list(inspect.signature(fn).parameters) == ["r", "limit"]
+
+
 def test_sr_enum_known_rows():
     s1 = sr_table_enum(1, 5)
     assert [s1.count(5, k) for k in range(1, 6)] == [12, 4, 2, 1, 1]
@@ -204,6 +215,18 @@ def test_sr_gf_matches_triple_loop(r):
         table = sr_table_gf(r, limit)
         for n in range(limit + 1):
             assert table.row(n, 0, limit) == want[n][: limit + 1], (limit, n)
+
+
+def test_sr_table_class_can_be_swapped():
+    # the benchmark tracer reassigns __class__ to a slot-less subclass
+    class Counting(SrTable):
+        __slots__ = ()
+
+    table = sr_table_gf(2, 8)
+    want = [table.row(n, 0, 8) for n in range(9)]
+    table.__class__ = Counting
+    assert [table.row(n, 0, 8) for n in range(9)] == want
+    assert table == sr_table_gf(2, 8)
 
 
 def test_sr_diagonal():
