@@ -128,8 +128,6 @@ def build_a(rmax: int, mu: tuple) -> list:
     a generous index range; the trailing entries beyond the observed
     support width are asserted zero and trimmed.
     """
-    if rmax < 1:
-        raise ValueError(f"rmax must be >= 1, got {rmax}")
     if len(mu) <= rmax:
         raise ValueError(f"sieve limit {len(mu) - 1} < rmax {rmax}")
     rows = [[1]]

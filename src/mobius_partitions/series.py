@@ -60,26 +60,21 @@ def _mul(a: Sequence[int], b: Sequence[int], order: int, start: int = 0) -> list
     """Coefficients start..order of the product of coefficient sequences a, b.
 
     With a, b cut to their first order+1 terms and trailing zeros dropped,
-    the product is formed one of three ways, chosen from the operands:
-    - shifted adds, when the sparser operand has at most
-      len(denser).bit_length() nonzero terms: each nonzero term c at q^j
-      adds c times the denser operand into the output from slot j on, in one
-      slice update;
-    - otherwise by Kronecker substitution (Harvey, J. Symbolic Comput. 44,
-      2009): each sequence becomes one integer holding a coefficient per
-      fixed-width slot, the two integers are multiplied once by CPython's
-      big-int multiply, and the product's slots are cut apart and read
-      back as unsigned ints.  Each slot then holds
-      - its coefficient c, when neither operand has a negative term: a slot
-        of w bits is wide enough for every c to satisfy c < 2^w, and no
-        slot borrows;
-      - c + 2^(w-1) otherwise (the biased signed read): the slot has one
-        bit more, so that |c| < 2^(w-1).  One bias serves both ends: _pack
-        writes a signed operand's slots as a[i] + 2^(w-1) and subtracts
-        2^(w-1) from all of them at once, so slots borrow from their
-        neighbours; adding 2^(w-1) to every slot of the truncated product
-        puts each at c + 2^(w-1), in 0..2^w - 1, with no carry to undo,
-        and 2^(w-1) is subtracted from each slot read.
+    the product is formed by Kronecker substitution (Harvey, J. Symbolic
+    Comput. 44, 2009): each sequence becomes one integer holding a
+    coefficient per fixed-width slot, the two integers are multiplied once
+    by CPython's big-int multiply, and the product's slots are cut apart
+    and read back as unsigned ints.  Each slot then holds
+    - its coefficient c, when neither operand has a negative term (the
+      unsigned read): a slot of w bits is wide enough for every c to
+      satisfy c < 2^w, and no slot borrows;
+    - c + 2^(w-1) otherwise (the biased signed read): the slot has one bit
+      more, so that |c| < 2^(w-1).  One bias serves both ends: _pack writes
+      a signed operand's slots as a[i] + 2^(w-1) and subtracts 2^(w-1) from
+      all of them at once, so slots borrow from their neighbours; adding
+      2^(w-1) to every slot of the truncated product puts each at
+      c + 2^(w-1), in 0..2^w - 1, with no carry to undo, and 2^(w-1) is
+      subtracted from each slot read.
     Slots below start are never unpacked, and start past order + 1 gives [].
 
     Kernels call this directly, so that TruncatedSeries.__mul__ stays the
@@ -90,11 +85,6 @@ def _mul(a: Sequence[int], b: Sequence[int], order: int, start: int = 0) -> list
     slots = min(order + 1, len(a) + len(b) - 1) if a and b else 0
     if start >= slots:
         return [0] * (order + 1 - start)
-    terms_a, terms_b = len(a) - a.count(0), len(b) - b.count(0)
-    if terms_a > terms_b:
-        a, b, terms_a = b, a, terms_b
-    if terms_a <= len(b).bit_length():
-        return _shifted_adds(a, b, order, start)
     low_a, low_b = min(a), min(b)
     signed = low_a < 0 or low_b < 0
     bits = (
@@ -115,19 +105,6 @@ def _mul(a: Sequence[int], b: Sequence[int], order: int, start: int = 0) -> list
     if signed:
         out = list(map(sub, out, repeat(half)))
     out += [0] * (order + 1 - slots)
-    return out
-
-
-def _shifted_adds(sparse: Sequence[int], dense: Sequence[int], order: int, start: int) -> list:
-    """Coefficients start..order of sparse times dense, one slice update per
-    nonzero term of sparse."""
-    out = [0] * (order + 1 - start)
-    for j in compress(range(len(sparse)), sparse):
-        lo = max(start - j, 0)  # the first term of dense that lands at or past start
-        hi = min(len(dense), order + 1 - j)
-        if lo < hi:
-            cells = slice(j + lo - start, j + hi - start)
-            out[cells] = map(add, out[cells], map(mul, dense[lo:hi], repeat(sparse[j])))
     return out
 
 

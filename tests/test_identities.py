@@ -66,7 +66,7 @@ def test_row_widths():
 def test_build_rejects_bad_args():
     with pytest.raises(ValueError):
         build_b(0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="rmax must be >= 1, got 0"):
         build_a(0, build_sieve(5))
     with pytest.raises(ValueError):
         build_a(10, build_sieve(5))

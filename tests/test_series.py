@@ -41,9 +41,8 @@ _coefficient = st.one_of(st.just(0), _nonzero)
 def series_pairs(draw):
     """Two series of one order in 0..80: random, all zero, a monomial, one
     coefficient repeated (the largest possible product coefficients), or
-    sparse: k nonzero terms, k = (order + 1).bit_length() or one more, at
-    most and just past the count up to which _mul forms a product with a
-    full-length operand by shifted adds."""
+    sparse: k = (order + 1).bit_length() or one more nonzero terms at
+    random places, so that runs of zero slots lie between them."""
     order = draw(st.integers(min_value=0, max_value=80))
 
     def one():
@@ -133,7 +132,8 @@ def test_mul_full_slots(bits, sign_a, sign_b):
 @pytest.mark.parametrize("signed", [False, True], ids=["nonnegative", "signed"])
 def test_mul_reads_from_start(shape, signed):
     # every start in 0..order+1: a short pair's product fills slots 0..21, so
-    # the starts past it read no slot; a sparse operand takes shifted adds
+    # the starts past it read no slot; a sparse operand leaves runs of zero
+    # slots between its three terms
     order = 40
     rng = random.Random(f"{shape}-{signed}")
     low = -(2**70) if signed else 0
@@ -148,6 +148,27 @@ def test_mul_reads_from_start(shape, signed):
     for start in range(order + 2):
         assert series._mul(a, b, order, start) == list(full[start:]), start
         assert series._mul(b, a, order, start) == list(full[start:]), start
+
+
+@pytest.mark.parametrize("sparse", ["minus-powers-of-two", "q"])
+@pytest.mark.parametrize("signed", [False, True], ids=["nonnegative", "signed"])
+def test_mul_sparse_times_dense_row(sparse, signed):
+    # -sum_j q^(2^j) and q times a row of ~100-bit coefficients: between the
+    # sparse operand's terms lie runs of up to 255 zero slots, through which
+    # the biased read must pass a signed operand's borrows
+    order = 600
+    rng = random.Random(f"{sparse}-{signed}")
+    dense = [rng.randint(-(2**100) if signed else 0, 2**100) for _ in range(order + 1)]
+    terms = {2**j: -1 for j in range(10)} if sparse == "minus-powers-of-two" else {1: 1}
+    a = [terms.get(j, 0) for j in range(order + 1)]
+    full = [0] * (order + 1)
+    for j, c in terms.items():
+        for i in range(order + 1 - j):
+            full[i + j] += c * dense[i]
+    assert (TruncatedSeries(a, order) * TruncatedSeries(dense, order)).coeffs == tuple(full)
+    for start in (1, 255, 513, order):
+        assert series._mul(a, dense, order, start) == full[start:], start
+        assert series._mul(dense, a, order, start) == full[start:], start
 
 
 def test_pochhammer_empty_product():
@@ -299,6 +320,17 @@ def test_lambert_refuses_short_row():
         with pytest.raises(ValueError, match="shorter than order"):
             lambert_sum([1] * order, order)
         assert lambert_sum([1] * (order + 1), order).order == order
+
+
+def test_lambert_refuses_a_negative_order_before_summing(monkeypatch):
+    # the refusal comes first: without it the divisor-sum pass would run on
+    # the weights before TruncatedSeries refused the order
+    def summed(out):
+        raise AssertionError("divisor sums ran")
+
+    monkeypatch.setattr(series, "_divisor_sums", summed)
+    with pytest.raises(ValueError, match=r"^order must be >= 0, got -5$"):
+        lambert_sum(list(range(100)), -5)
 
 
 def test_lambert_phi_gives_n():

@@ -118,13 +118,6 @@ CATALOGUE = (
         ("tests/test_series.py::test_pochhammer_known_rows",),
     ),
     Mutant(
-        "shifted-adds-slice-off-by-one", SERIES,
-        "dense[lo:hi]",
-        "dense[lo : hi - 1]",
-        ("tests/test_series.py::test_mul_reads_from_start",
-         "tests/test_series.py::test_mul_matches_schoolbook"),
-    ),
-    Mutant(
         "unsigned-read-with-a-negative-operand", SERIES,
         "signed = low_a < 0 or low_b < 0",
         "signed = low_a < 0 and low_b < 0",
@@ -158,6 +151,13 @@ CATALOGUE = (
         'int.from_bytes(biased, "little") + 0 * int.from_bytes(',
         ("tests/test_series.py::test_mul_full_slots",
          "tests/test_series.py::test_mul_matches_schoolbook"),
+    ),
+    # lambert_sum refuses a negative order before its divisor-sum pass.
+    Mutant(
+        "lambert-negative-order-refusal-dropped", SERIES,
+        '        raise ValueError(f"order must be >= 0, got {order}")\n    if len(weights)',
+        "        pass\n    if len(weights)",
+        ("tests/test_series.py::test_lambert_refuses_a_negative_order_before_summing",),
     ),
     # The enumeration oracle's counting scan: each edit leaves the walk and
     # its partition count alone and miscounts the parts.
