@@ -151,13 +151,10 @@ def build_a(rmax: int, mu: tuple) -> list:
     return rows
 
 
-def _shifted_p_sums(p: PartitionTable, terms, count: int) -> list:
-    """[sum of c p(n - s) over the (c, s) in terms, for n < count], with
-    p(<0) = 0: one C-level pass over p per nonzero c.  Every shift s is
-    >= 0, and p must reach count - 1."""
-    if count > p.limit + 1:
-        raise ValueError(f"p table to {p.limit} is too short for {count} sums")
-    out = [0] * count
+def _shifted_p_sums(p: PartitionTable, terms) -> list:
+    """[sum of c p(n - s) over the (c, s) in terms, for n <= p.limit], with
+    p(<0) = 0: one C-level pass over p per nonzero c.  Every shift s is >= 0."""
+    out = [0] * (p.limit + 1)
     for c, s in terms:
         if s < 0:
             raise ValueError(f"shift must be >= 0, got {s}")
@@ -194,7 +191,7 @@ def _weighted_vs_p(nmax: int, legs):
         lhs = next(sums).coeffs[offset + nmin : offset + nmax + 1]
         # p is built after the first series, so it is not held through that product
         p = p or partition_table_pentagonal(nmax)
-        yield first, lhs, _shifted_p_sums(p, terms, nmax + 1)[nmin:]
+        yield first, lhs, _shifted_p_sums(p, terms)[nmin:]
         del lhs
 
 
@@ -226,7 +223,7 @@ def verify_weighted_corollary(nmax: int, r: int, cap: int = DEFAULT_COUNTEREXAMP
     check_enumeration_size(nmax)
     # Every part lies in r..n <= nmax, inside the sieve.
     weights = [(-1) ** (r - 1) * m for m in build_sieve(max(nmax, 1))]
-    p = _shifted_p_sums(partition_table_pentagonal(nmax), ((1, r),), nmax + 1)
+    p = _shifted_p_sums(partition_table_pentagonal(nmax), ((1, r),))
     sums = [sum(map(mul, weights, part_counts(n, r, r)[0])) for n in range(nmax + 1)]
     return _sweep("weighted", {"nmax": nmax, "r": r}, cap, [((0,), p, sums)])
 

@@ -35,15 +35,12 @@ class TruncatedSeries:
     def __setattr__(self, name, value):
         raise AttributeError("TruncatedSeries is immutable")
 
-    def _check_same_order(self, other: "TruncatedSeries") -> None:
+    def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
+        """Truncated Cauchy product, by Kronecker substitution (see _mul)."""
         if not isinstance(other, TruncatedSeries):
             raise TypeError(f"expected TruncatedSeries, got {type(other).__name__}")
         if self.order != other.order:
             raise ValueError(f"order mismatch: {self.order} != {other.order}")
-
-    def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        """Truncated Cauchy product, by Kronecker substitution (see _mul)."""
-        self._check_same_order(other)
         return TruncatedSeries(_mul(self.coeffs, other.coeffs, self.order), self.order)
 
     def __eq__(self, other) -> bool:
@@ -127,8 +124,8 @@ def _pack(a: Sequence[int], width: int) -> int:
     return int.from_bytes(biased, "little") - int.from_bytes(half.to_bytes(width, "little") * len(a), "little")
 
 
-# Below this many terms the online convolution in _log_solve runs as a
-# plain double loop.
+# Below this many terms the online convolution that _factor_product runs
+# through _solve is a plain double loop.
 _POCHHAMMER_BASE = 32
 
 
@@ -137,41 +134,41 @@ def pochhammer(start: int, factors: int, order: int) -> TruncatedSeries:
 
     Factors with start+k > order are congruent to 1 modulo q^(order+1), so
     any factors >= order - start + 1 gives (q^start; q)_inf to that order.
-
-    The product G over the exponent set S is found from its logarithmic
-    derivative: q G'/G = -sum_k sigma_S(k) q^k, with sigma_S(k) the sum of
-    the m in S dividing k, so n G_n = -sum_{k=1..n} sigma_S(k) G_{n-k}.
-    -sigma_S is the Lambert sum of the row holding -m at each m in S and 0
-    elsewhere, and _log_solve solves the recurrence.
     """
-    if start < 1:
-        raise ValueError(f"start must be >= 1, got {start}")
     if factors < 0:
         raise ValueError(f"factor count must be >= 0, got {factors}")
-    stop = min(start + factors, order + 1)
-    weights = [0] * (order + 1)
-    weights[start:stop] = range(-start, -stop, -1)
-    return _log_solve(lambert_sum(weights, order).coeffs, order)
+    return _factor_product(start, start + factors, -1, order)
 
 
 def pochhammer_inverse(start: int, order: int) -> TruncatedSeries:
     """1/(q^start; q)_inf modulo q^(order+1), whose q^n coefficient counts
-    the partitions of n with every part >= start.
+    the partitions of n with every part >= start."""
+    return _factor_product(start, order + 1, 1, order)
 
-    Its logarithmic derivative is that of (q^start; q)_inf negated, so it
-    is _log_solve of the Lambert sum of the row holding +m at each
-    m >= start; at start = 1 this is Euler's n p(n) = sum_k sigma(k) p(n-k).
+
+def _factor_product(start: int, stop: int, sign: int, order: int) -> TruncatedSeries:
+    """G = prod_{start <= m < stop} (1 - q^m)^(-sign) modulo q^(order+1), for
+    sign -1 (the product) or +1 (its inverse), from its logarithmic
+    derivative: q G'/G = sign sum_k sigma_S(k) q^k, with sigma_S(k) the sum
+    of the m in S = [start, stop) dividing k, so
+    n G_n = sign sum_{k=1..n} sigma_S(k) G_{n-k} with G_0 = 1, solved by
+    _solve.  sign sigma_S is the Lambert sum of the row holding sign m at
+    each m in S and 0 elsewhere; at start = 1 and sign +1 the recurrence
+    is Euler's n p(n) = sum_k sigma(k) p(n-k).
     """
     if start < 1:
         raise ValueError(f"start must be >= 1, got {start}")
+    stop = min(stop, order + 1)
     weights = [0] * (order + 1)
-    weights[start:] = range(start, order + 1)
-    return _log_solve(lambert_sum(weights, order).coeffs, order)
+    weights[start:stop] = range(sign * start, sign * stop, sign)
+    g = [1] + [0] * order
+    _solve(g, lambert_sum(weights, order).coeffs, 0, order + 1)
+    return TruncatedSeries(g, order)
 
 
-def _log_solve(sigma: Sequence[int], order: int) -> TruncatedSeries:
-    """The series g modulo q^(order+1) with g_0 = 1 and
-    n g_n = sum_{k=1..n} sigma[k] g_{n-k}, which is q g'/g = sum_k sigma[k] q^k.
+def _solve(g: list, sigma: Sequence[int], lo: int, hi: int) -> None:
+    """Solve g[lo:hi] in place for n g_n = sum_{k=1..n} sigma[k] g_{n-k},
+    which is q g'/g = sum_k sigma[k] q^k (_factor_product's recurrence).
 
     The recurrence is solved by divide-and-conquer online convolution: once
     g[lo:mid] is solved, its product with sigma is added by one _mul into
@@ -181,13 +178,6 @@ def _log_solve(sigma: Sequence[int], order: int) -> TruncatedSeries:
     already holds the terms of the sum with j < lo, and the loop adds those
     with lo <= j < n, in one C-level sum of products.
     """
-    g = [1] + [0] * order
-    _solve(g, sigma, 0, order + 1)
-    return TruncatedSeries(g, order)
-
-
-def _solve(g: list, sigma: Sequence[int], lo: int, hi: int) -> None:
-    """Solve g[lo:hi] of _log_solve's recurrence in place (see _log_solve)."""
     if hi - lo <= _POCHHAMMER_BASE:
         for n in range(max(lo, 1), hi):
             # sigma[n - j] g[j] for j = lo..n-1; exact: n g_n is the sum

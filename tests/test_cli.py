@@ -1,5 +1,6 @@
 import ast
 import csv
+import hashlib
 import io
 import json
 import os
@@ -515,6 +516,41 @@ def test_registry_matches_readme_and_identities(capsys):
     for line in lines:
         code, out, err = run(capsys, *shlex.split(line, comments=True))
         assert code == 0, (line, err)
+
+
+# SHA-256 of the stdout of each mobius-partitions line of README's CLI
+# block, its trailing comment stripped
+README_CLI_DIGESTS = {
+    "table b --rmax 6 --format csv": "a1a3d71000724a581461264c37d883fda837692af36511a52175afbc20d0f367",
+    "table a --rmax 7": "677e00f66bf15d38579c6ef9ecc662c31721b75457c0576da023b482c7637969",
+    "table p --nmax 10": "167596a486ea703baa3b55cfaf2f8c82965d10280f74cfbaf9a017b0cd188bc9",
+    "table sr --r 3 --nmax 20 --format csv": "ffa841628ec512447ca885ea33d419f53383e2137d3964e9b7fb11bbea1b4e5e",
+    "verify thm1 --r 1 --nmax 200": "fd1e2f4a8d3c3e1d17a5a1b6015b8b3788fedc522d39f4785876c5386e730a2a",
+    "verify thm2 --rmax 10 --nmax 100": "5dda2a9381d4a4d947cd800be5ed0ff890a61678b3ffd102a6e722da3c9b968c",
+    "verify cor2 --nmax 45": "7ad756c36d993efbc96b7e9afa802787ebf61f9a89d4a5ab52d4f47532223e8a",
+    "verify phi --nmax 100": "bc2df783e421187105d5cafce35e73ba9fa436085a75e119292f681111f4a379",
+    "verify prime-alpha --alpha 2 --nmax 100 --which i": "2c8d98cf498eec8bb00582b4c6043174ff3c25b9bcd5bbcfcec3122928a941b2",
+    "verify lambert --nmax 500": "f1f10a17b436cab7ff0186d4eca7b4acbcc8584509e6e4c05a4fcf1c7222ab2e",
+    "verify lemma1 --nmax 40 --rmax 5": "3fdecc1e76505edfe5f95da42f9caab8932af83d431b293018b82c9ba12c4ff2",
+    "verify b-symmetry --rmax 10": "03cf07bbf5410bd7397d51953ed086cd43c8baf27bb5482a7b8731895e2d6882",
+    "verify oracle-sr --nmax 40 --rmax 6": "3f2516966cc92141f5c6e303a08ab077fdd82555217033601be07f054f518d72",
+    "verify weighted --r 2 --nmax 30": "b77ea7370692d1f344e8f73fac1be333202289bdb349dfe86750cd6edf35f824",
+    "examples": "48db0e9557e958469cbad1aae7d636d9381ee2d837f55c538e4b93b88a54dbe7",
+    "examples --only cor3-n8 --format json": "e4bd436010687a3cf6e1093442eb682373deff2c80a93a566941e95d9de692e7",
+}
+
+
+def test_readme_cli_lines_print_pinned_output(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"^## CLI\n\n```sh\n(.*?)^```", readme, re.M | re.S).group(1)
+    digests = {}
+    for line in re.findall(r"^mobius-partitions (.*)$", block, re.M):
+        argv = shlex.split(line, comments=True)
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, ""), line
+        digests[" ".join(argv)] = hashlib.sha256(out.encode()).hexdigest()
+    # a line without a pinned digest, or a pin without its line, fails here
+    assert digests == README_CLI_DIGESTS
 
 
 def _sr_rendering(r, nmax, fmt):

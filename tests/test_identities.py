@@ -616,8 +616,8 @@ def test_phi_builds_the_partition_series_once(monkeypatch):
     assert starts == [1]
 
 
-def _shifted_reference(p, terms, count):
-    return [sum(c * p.value(n - s) for c, s in terms) for n in range(count)]
+def _shifted_reference(p, terms):
+    return [sum(c * p.value(n - s) for c, s in terms) for n in range(p.limit + 1)]
 
 
 @pytest.mark.parametrize("terms", [
@@ -625,15 +625,15 @@ def _shifted_reference(p, terms, count):
     [(1, 0)],
     [(0, 0), (3, 2), (0, 5)],  # zero coefficients
     [(2, 3), (-1, 3), (5, 0), (-4, 3)],  # repeated shifts
-    [(1, 40), (-7, 41), (2, 1000), (1, 39)],  # shifts at and past count
+    [(1, 40), (-7, 41), (2, 1000), (1, 39)],  # shifts at and past the table's end
     [(-1, 1), (2, 7), (-3, 12), (1, 15)],
 ])
 def test_shifted_p_sums_match_per_n_sums(terms):
     from mobius_partitions.partitions import partition_table_pentagonal
 
-    p = partition_table_pentagonal(45)
-    for count in (0, 1, 13, 40, 46):
-        assert identities._shifted_p_sums(p, terms, count) == _shifted_reference(p, terms, count)
+    for limit in (0, 12, 39, 45):
+        p = partition_table_pentagonal(limit)
+        assert identities._shifted_p_sums(p, terms) == _shifted_reference(p, terms)
 
 
 def test_shifted_p_sums_rejects_bad_terms():
@@ -641,9 +641,7 @@ def test_shifted_p_sums_rejects_bad_terms():
 
     p = partition_table_pentagonal(10)
     with pytest.raises(ValueError, match="shift"):
-        identities._shifted_p_sums(p, [(1, 0), (1, -1)], 5)
-    with pytest.raises(ValueError, match="too short"):
-        identities._shifted_p_sums(p, [(1, 0)], 12)
+        identities._shifted_p_sums(p, [(1, 0), (1, -1)])
 
 
 def test_corollary_terms_are_the_differences():
@@ -658,7 +656,7 @@ def test_corollary_terms_are_the_differences():
     }
     for which, diffs in expected.items():
         terms = identities.COROLLARY_SPECS[which]["diff"]
-        assert identities._shifted_p_sums(p, terms, 101) == diffs, which
+        assert identities._shifted_p_sums(p, terms) == diffs, which
 
 
 def test_p_oracle_runs_without_series(monkeypatch):
@@ -669,12 +667,12 @@ def test_p_oracle_runs_without_series(monkeypatch):
         raise AssertionError("series kernel called")
 
     for module in (series, partitions, identities):
-        for name in ("_mul", "_log_solve", "lambert_sum", "pochhammer", "pochhammer_inverse"):
+        for name in ("_mul", "_factor_product", "lambert_sum", "pochhammer", "pochhammer_inverse"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse)
     p = partition_table_pentagonal(500)
     assert p.values[100] == 190569292
-    assert identities._shifted_p_sums(p, [(1, 0), (-1, 1)], 501)[100] == 190569292 - 169229875
+    assert identities._shifted_p_sums(p, [(1, 0), (-1, 1)])[100] == 190569292 - 169229875
 
 
 def test_enumeration_oracle_runs_without_series(monkeypatch):
@@ -685,7 +683,7 @@ def test_enumeration_oracle_runs_without_series(monkeypatch):
         raise AssertionError("series kernel called")
 
     for module in (series, partitions, identities):
-        for name in ("_mul", "_log_solve", "lambert_sum", "pochhammer", "pochhammer_inverse"):
+        for name in ("_mul", "_factor_product", "lambert_sum", "pochhammer", "pochhammer_inverse"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse)
     assert [sr_table_enum(r, 12).count(12, 3) for r in range(1, 5)] == [45, 14, 8, 0]

@@ -113,8 +113,15 @@ CATALOGUE = (
     ),
     Mutant(
         "pochhammer-one-factor-short", SERIES,
-        "min(start + factors, order + 1)",
-        "min(start + factors - 1, order + 1)",
+        "_factor_product(start, start + factors, -1, order)",
+        "_factor_product(start, start + factors - 1, -1, order)",
+        ("tests/test_series.py::test_pochhammer_known_rows",),
+    ),
+    # Without its sign the product's row is the inverse's.
+    Mutant(
+        "factor-product-row-without-its-sign", SERIES,
+        "range(sign * start, sign * stop, sign)",
+        "range(start, stop)",
         ("tests/test_series.py::test_pochhammer_known_rows",),
     ),
     Mutant(
