@@ -24,7 +24,6 @@ from mobius_partitions.partitions import (
     count_restricted,
     part_counts,
     partition_table_pentagonal,
-    sr_table_enum,
     sr_table_gf,
     weighted_sr_sums,
 )
@@ -32,8 +31,8 @@ from mobius_partitions.series import lambert_sum
 
 DEFAULT_COUNTEREXAMPLE_CAP = 10
 
-# Empirical support width of row r of the a-table: the recurrence is run on
-# a generous index range and entries past this width are asserted zero.
+# Proved width of a-row r: a_r = q^-r (q;q)_{r-1} (q - sum_{k<r} mu(k) q^k/(1-q^k)), each (q;q)_{r-1}/(1-q^k)
+# with k < r is a polynomial, and sum_k mu(k) q^k/(1-q^k) = q makes the bracket O(q^r): deg a_r <= (r-1)(r-2)/2.
 def _a_support(r: int) -> int:
     return (r - 1) * (r - 2) // 2 + 1
 
@@ -125,7 +124,7 @@ def build_a(rmax: int, mu: tuple) -> list:
 
     a_{r+1,j} = a_{r,j+1} - mu(r) b_{r,j+1} - a_{r,j+1-r} (last term only
     for j+1 >= r), starting from a_1 = [1].  The recurrence is evaluated on
-    a generous index range; the trailing entries beyond the observed
+    a generous index range; the trailing entries beyond the proved
     support width are asserted zero and trimmed.
     """
     if len(mu) <= rmax:
@@ -349,26 +348,21 @@ def verify_b_symmetry(rmax: int, cap: int = DEFAULT_COUNTEREXAMPLE_CAP) -> Verif
     return _sweep("b-symmetry", {"rmax": rmax}, cap, checks())
 
 
-def verify_lemma1(
-    nmax: int, rmax: int, route: str = "gf", cap: int = DEFAULT_COUNTEREXAMPLE_CAP
-) -> VerificationReport:
+def verify_lemma1(nmax: int, rmax: int, cap: int = DEFAULT_COUNTEREXAMPLE_CAP) -> VerificationReport:
     """S^(r+1)_{n+r,k} = S^(r)_{n+r,k} - S^(r)_{n,k} for n >= k > r >= 1."""
-    if route not in ("gf", "enum"):
-        raise ValueError(f"route must be gf or enum, got {route!r}")
-    build = sr_table_gf if route == "gf" else sr_table_enum
     def checks():
         # Only the tables for r and r + 1 are held, each built on its own: one
         # stepped from the table before it would satisfy the lemma by construction.
         if rmax < 1 or nmax < 2:
             return
-        lo = build(1, nmax + rmax)
+        lo = sr_table_gf(1, nmax + rmax)
         for r in range(1, rmax + 1):
-            hi = build(r + 1, nmax + rmax)
+            hi = sr_table_gf(r + 1, nmax + rmax)
             for n in range(r + 1, nmax + 1):
                 rhs = list(map(sub, lo.row(n + r, r + 1, n), lo.row(n, r + 1, n)))
                 yield (r, n, r + 1), hi.row(n + r, r + 1, n), rhs
             lo = hi
-    return _sweep("lemma1", {"nmax": nmax, "rmax": rmax, "route": route}, cap, checks())
+    return _sweep("lemma1", {"nmax": nmax, "rmax": rmax}, cap, checks())
 
 
 def verify_lambert(nmax: int, cap: int = DEFAULT_COUNTEREXAMPLE_CAP) -> VerificationReport:

@@ -8,6 +8,7 @@ import time
 
 import pytest
 
+from mobius_partitions import identities
 from mobius_partitions.arith import build_sieve
 from mobius_partitions.cli import main
 from mobius_partitions.identities import (
@@ -95,8 +96,10 @@ def test_c06_lambert_identity():
     report("6 Lambert mu-series equals q up to order 500", rep.passed)
 
 
-def test_c07_lemma_sweep():
-    rep = verify_lemma1(40, 5, route="enum")
+def test_c07_lemma_sweep(monkeypatch):
+    # Lemma 1 on the enumeration oracle's tables
+    monkeypatch.setattr(identities, "sr_table_gf", sr_table_enum)
+    rep = verify_lemma1(40, 5)
     report("7 table recurrence vs enumeration r<=5 n<=40", rep.passed)
 
 

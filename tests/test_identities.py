@@ -223,16 +223,17 @@ def test_b_symmetry():
     assert rows[1][1] == 0 - rows[0][0] == -1
 
 
-def test_lemma1_gf_and_enum():
-    assert verify_lemma1(40, 5, "gf").passed
-    assert verify_lemma1(25, 3, "enum").passed
+def test_lemma1_gf_and_enum(monkeypatch):
+    assert verify_lemma1(40, 5).passed
     # the smallest range with a check: n = 2, r = 1, k = 2
-    assert verify_lemma1(2, 1).checked == verify_lemma1(2, 1, "enum").checked == 1
-    with pytest.raises(ValueError):
-        verify_lemma1(10, 2, "magic")
-    # the enum route builds tables to nmax + rmax; c07's 40 + 5 is the cap
+    assert verify_lemma1(2, 1).checked == 1
+    # the same sweep on the enumeration oracle's tables
+    monkeypatch.setattr(identities, "sr_table_gf", sr_table_enum)
+    assert verify_lemma1(25, 3).passed
+    assert verify_lemma1(2, 1).checked == 1
+    # the oracle builds tables to nmax + rmax; c07's 40 + 5 is the cap
     with pytest.raises(ValueError, match="capped"):
-        verify_lemma1(45, 1, "enum")
+        verify_lemma1(45, 1)
 
 
 def test_lemma1_hand_case():
@@ -587,8 +588,11 @@ def test_dense_sweeps_do_not_step_the_inverse(monkeypatch):
 
     for module in (partitions, identities):
         monkeypatch.setattr(module, "weighted_sr_sums", refuse)
-    for rep in (verify_lemma1(30, 5), verify_lemma1(20, 3, "enum"), verify_sr_oracle(25, 4)):
+    for rep in (verify_lemma1(30, 5), verify_sr_oracle(25, 4)):
         assert rep.passed and rep.checked > 0, rep.summary()
+    monkeypatch.setattr(identities, "sr_table_gf", partitions.sr_table_enum)
+    rep = verify_lemma1(20, 3)
+    assert rep.passed and rep.checked > 0, rep.summary()
 
 
 def test_prime_alpha_refuses_composite_before_sieve(monkeypatch):

@@ -220,6 +220,14 @@ CATALOGUE = (
         ("tests/test_identities.py::test_sr_oracle",
          "tests/test_acceptance.py::test_c05_oracle_equivalence"),
     ),
+    # Lemma 1's right side differences the table of r at n + r and at n.
+    Mutant(
+        "lemma1-rhs-reads-row-n-minus-one", IDENTITIES,
+        "lo.row(n, r + 1, n)))",
+        "lo.row(n - 1, r + 1, n)))",
+        ("tests/test_identities.py::test_lemma1_injected_errors",
+         "tests/test_identities.py::test_lemma1_builds_each_table_from_its_own_inverse"),
+    ),
     # Weighted legs: the statement's sign lives in the weight row, and a
     # leg's first index names the first n it checks.
     Mutant(
