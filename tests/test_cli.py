@@ -529,6 +529,8 @@ README_CLI_DIGESTS = {
     "verify thm1 --r 1 --nmax 200": "fd1e2f4a8d3c3e1d17a5a1b6015b8b3788fedc522d39f4785876c5386e730a2a",
     "verify thm2 --rmax 10 --nmax 100": "5dda2a9381d4a4d947cd800be5ed0ff890a61678b3ffd102a6e722da3c9b968c",
     "verify cor2 --nmax 45": "7ad756c36d993efbc96b7e9afa802787ebf61f9a89d4a5ab52d4f47532223e8a",
+    "verify cor3 --nmax 45": "e5d8dad40417ce4d08a4cc4bdfa065c925c44a86edfe43a8f9f1950ff6cf1d0d",
+    "verify cor4 --nmax 100 --format json": "7b18536101a3daf03f91527a981de2c74cb5fa255c04bb0728dc17b041562e88",
     "verify phi --nmax 100": "bc2df783e421187105d5cafce35e73ba9fa436085a75e119292f681111f4a379",
     "verify prime-alpha --alpha 2 --nmax 100 --which i": "2c8d98cf498eec8bb00582b4c6043174ff3c25b9bcd5bbcfcec3122928a941b2",
     "verify lambert --nmax 500": "f1f10a17b436cab7ff0186d4eca7b4acbcc8584509e6e4c05a4fcf1c7222ab2e",
