@@ -21,7 +21,7 @@ from mobius_partitions.partitions import (
     ENUMERATION_CAP,
     PartitionTable,
     check_enumeration_size,
-    count_restricted,
+    count_by_part_size,
     part_counts,
     partition_table_pentagonal,
     sr_table_gf,
@@ -228,19 +228,28 @@ def verify_weighted_corollary(nmax: int, r: int, cap: int = DEFAULT_COUNTEREXAMP
 
 
 # which -> S^(r) table r, S-table index offset, first n, difference of p as
-# (coefficient, shift) terms of p(n - shift), and the test on the ascending
-# part list of a partition with no 1's that it counts (None: every one)
+# (coefficient, shift) terms of p(n - shift), the test on the ascending part
+# list of a partition with no 1's that it counts (None: every one), and the
+# same count as a recipe for count_by_part_size, which leg 2 reads for
+# n <= ENUMERATION_CAP, the range of the enumeration it replaced: a partition
+# counted is empty or has a largest part L, and each shift (c, e) takes c
+# copies of L and e more out of it, leaving parts lo..L
 COROLLARY_SPECS = {
-    # nabla p(n) = p(n) - p(n-1)
-    2: dict(r=3, offset=3, nmin=0, diff=((1, 0), (-1, 1)), predicate=None),
-    # nabla^2 p(n) = p(n) - 2 p(n-1) + p(n-2); largest part repeated
+    # nabla p(n) = p(n) - p(n-1); one copy of L >= 2 leaves parts 2..L
+    2: dict(r=3, offset=3, nmin=0, diff=((1, 0), (-1, 1)), predicate=None,
+            recipe=dict(lo=2, empty=1, shifts=((1, 0),))),
+    # nabla^2 p(n) = p(n) - 2 p(n-1) + p(n-2); largest part repeated: two
+    # copies of L >= 2 leave parts 2..L
     3: dict(r=4, offset=5, nmin=3, diff=((1, 0), (-2, 1), (1, 2)),
-            predicate=lambda a: len(a) > 1 and a[-1] == a[-2]),
+            predicate=lambda a: len(a) > 1 and a[-1] == a[-2],
+            recipe=dict(lo=2, empty=0, shifts=((2, 0),))),
     # nabla^2 p(n) - nabla^2 p(n-4); also at most one 2: with parts >= 2 in
     # ascending order, a second 2 sits at a[1], tested last, since "largest
-    # part repeated" fails more often
+    # part repeated" fails more often; two copies of L >= 3 and no 2 or one 2
+    # leave parts 3..L
     4: dict(r=5, offset=5, nmin=6, diff=((1, 0), (-2, 1), (1, 2), (-1, 4), (2, 5), (-1, 6)),
-            predicate=lambda a: len(a) > 1 and a[-1] == a[-2] and a[1:2] != [2]),
+            predicate=lambda a: len(a) > 1 and a[-1] == a[-2] and a[1:2] != [2],
+            recipe=dict(lo=3, empty=0, shifts=((2, 0), (2, 2)))),
 }
 
 
@@ -252,8 +261,10 @@ def verify_corollary(which: int, nmax: int, cap: int = DEFAULT_COUNTEREXAMPLE_CA
     which=4: + at most one 2, nabla^2 p(n)-nabla^2 p(n-4) vs -sum S^(5)_{n+5,k} mu(k)
 
     The difference of p is checked against the Mobius sum, leg 1, for
-    nmin <= n <= nmax, and against the enumerated count, leg 2, for
+    nmin <= n <= nmax, and against the count, leg 2, for
     nmin <= n <= min(nmax, ENUMERATION_CAP): the index of a check is (leg, n).
+    Leg 2 counts by part size, one count_by_part_size pass from the row's
+    recipe, and keeps the range of the enumeration it replaced.
     """
     if which not in COROLLARY_SPECS:
         raise ValueError(f"which must be 2, 3 or 4, got {which}")
@@ -262,7 +273,7 @@ def verify_corollary(which: int, nmax: int, cap: int = DEFAULT_COUNTEREXAMPLE_CA
     weights = [-m for m in build_sieve(nmax + offset)]
     [(first, msum, diff)] = _weighted_vs_p(nmax, [((1, nmin), spec["r"], weights, offset, spec["diff"])])
     top = min(nmax, ENUMERATION_CAP)
-    counts = [count_restricted(n, spec["predicate"]) for n in range(nmin, top + 1)]
+    counts = count_by_part_size(top, **spec["recipe"])[nmin:]
     checks = [(first, diff, msum), ((2, nmin), diff[: top + 1 - nmin], counts)]
     return _sweep(f"cor{which}", {"nmax": nmax}, cap, checks)
 

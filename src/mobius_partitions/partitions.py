@@ -1,5 +1,6 @@
 """Partition counts p(n), explicit enumeration with a smallest-part bound,
-and the statistic S^(r)_{n,k} by two independent routes.
+restricted-partition counts by enumeration and by part size, and the
+statistic S^(r)_{n,k} by two independent routes.
 
 S^(r)_{n,k} is the total number of parts equal to k across all partitions
 of n whose smallest part is at least r.  The enumeration route scans the
@@ -301,3 +302,28 @@ def count_restricted(n: int, test) -> int:
         # counted with no call per partition (n = 0 yields the empty one)
         return sum(1 for _ in scan)
     return sum(map(test, scan))
+
+
+def count_by_part_size(top: int, lo: int, empty: int, shifts) -> list:
+    """[empty * [n = 0] + sum over L = lo..top and (c, e) in shifts of
+    P_{lo..L}(n - c*L - e), for n = 0..top], where P_{lo..L}(m) counts the
+    partitions of m into parts lo..L (zero for m < 0), from one pass over
+    the part sizes L in increasing order.  Each c is >= 1 and each e >= 0.
+
+    dp holds P_{lo..L} as L rises.  A part may repeat, so L is added block
+    by block, dp[b:b+L] += dp[b-L:b] for b = L, 2L, ..., each block reading
+    one already updated; a single dp[L:] += dp[:-L] would read the old row
+    and count each part at most once.  No partition is enumerated, nothing
+    is read from series and no table of p is used.
+    """
+    if top < 0 or lo < 1 or not all(c >= 1 and e >= 0 for c, e in shifts):
+        raise ValueError(f"bad arguments top={top}, lo={lo}, shifts={shifts}")
+    dp = [1] + [0] * top
+    out = [empty] + [0] * top
+    for size in range(lo, top + 1):
+        for b in range(size, top + 1, size):
+            dp[b : b + size] = map(add, dp[b : b + size], dp[b - size : b])
+        for c, e in shifts:
+            s = c * size + e
+            out[s:] = map(add, out[s:], dp)
+    return out

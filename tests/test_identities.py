@@ -695,6 +695,25 @@ def test_enumeration_oracle_runs_without_series(monkeypatch):
     assert count_restricted(12, identities.COROLLARY_SPECS[4]["predicate"]) == 4
 
 
+def test_counting_route_runs_without_series_or_pentagonal(monkeypatch):
+    from mobius_partitions import partitions, series
+    from mobius_partitions.partitions import count_by_part_size
+
+    def refuse(*args):
+        raise AssertionError("series kernel or pentagonal p called")
+
+    for module in (series, partitions, identities):
+        for name in ("_mul", "_factor_product", "lambert_sum", "pochhammer", "pochhammer_inverse",
+                     "partition_table_pentagonal"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    counts = {which: count_by_part_size(100, **spec["recipe"])
+              for which, spec in identities.COROLLARY_SPECS.items()}
+    assert (counts[2][6], counts[3][8], counts[4][12]) == (4, 3, 4)
+    # past the enumeration cap: nabla p(100) = p(100) - p(99)
+    assert counts[2][100] == 190569292 - 169229875
+
+
 def _bump_products(monkeypatch, changes):
     """Make the i-th TruncatedSeries product come out with its coefficient
     j raised by d, for each (i, j, d) in changes."""
@@ -785,10 +804,10 @@ def test_corollary3_injected_errors(monkeypatch, cap):
 
     p = partition_table_pentagonal(60)
 
-    def enumerated(n, predicate):  # the true count, one too large at n = 8
-        return backward_difference(p, 2, n) + (n == 8)
+    def counted(top, **recipe):  # the true counts, one too large at n = 8
+        return [backward_difference(p, 2, n) + (n == 8) for n in range(top + 1)]
 
-    monkeypatch.setattr(identities, "count_restricted", enumerated)
+    monkeypatch.setattr(identities, "count_by_part_size", counted)
     # the weight row carries the sign, so the Mobius leg at n is
     # coefficient(n + 5)
     _bump_products(monkeypatch, [(0, 50 + 5, -1), (0, 10 + 5, 1), (0, 8 + 5, -4)])

@@ -94,6 +94,9 @@ ROUTES = {
         "count_restricted": lambda real: lambda n, predicate: real(n, predicate) + 3**n,
         "part_counts": lambda real: lambda n, lo, hi: [_shifted(row) for row in real(n, lo, hi)],
     },
+    "counting": {
+        "count_by_part_size": lambda real: lambda top, **recipe: _shifted(real(top, **recipe)),
+    },
     # build_b stays: shifted b rows would trip build_a's support assertion
     "recurrence": {
         "build_a": lambda real: lambda rmax, mu: [_shifted(row) for row in real(rmax, mu)],

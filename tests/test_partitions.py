@@ -8,6 +8,7 @@ from mobius_partitions.identities import COROLLARY_SPECS
 from mobius_partitions.partitions import (
     ENUMERATION_CAP,
     SrTable,
+    count_by_part_size,
     count_restricted,
     enumerate_partitions,
     part_counts,
@@ -437,6 +438,28 @@ def test_count_restricted_vs_differences():
             assert count_restricted(n, COR4) == (
                 backward_difference(p, 2, n) - backward_difference(p, 2, n - 4)
             )
+
+
+@pytest.mark.parametrize("which", sorted(COROLLARY_SPECS))
+def test_count_by_part_size_matches_enumeration(which):
+    spec = COROLLARY_SPECS[which]
+    expected = [count_restricted(n, spec["predicate"]) for n in range(ENUMERATION_CAP + 1)]
+    assert count_by_part_size(ENUMERATION_CAP, **spec["recipe"]) == expected
+
+
+def test_count_by_part_size_counts_every_partition_past_the_cap():
+    # every partition but the empty one has a largest part L, one copy of
+    # which leaves parts 1..L: the recipe of p(n) itself
+    assert count_by_part_size(200, 1, 1, ((1, 0),)) == list(partition_table_pentagonal(200).values)
+    assert count_by_part_size(0, 2, 1, ((1, 0),)) == [1]
+
+
+@pytest.mark.parametrize(
+    "top, lo, shifts", [(-1, 2, ((1, 0),)), (5, 0, ((1, 0),)), (5, 2, ((0, 1),)), (5, 2, ((1, -1),))]
+)
+def test_count_by_part_size_refuses_bad_arguments(top, lo, shifts):
+    with pytest.raises(ValueError, match="bad arguments"):
+        count_by_part_size(top, lo, 0, shifts)
 
 
 def test_conjugation_symmetry():

@@ -201,8 +201,8 @@ CATALOGUE = (
     ),
     Mutant(
         "cor-count-leg-from-difference-leg", IDENTITIES,
-        'count_restricted(n, spec["predicate"])',
-        "diff[n]",
+        'count_by_part_size(top, **spec["recipe"])[nmin:]',
+        "diff[: top + 1 - nmin]",
         (INDEPENDENCE, "tests/test_identities.py::test_corollary3_injected_errors"),
     ),
     Mutant(
@@ -253,8 +253,8 @@ CATALOGUE = (
     ),
     Mutant(
         "cor-count-leg-one-n-short", IDENTITIES,
-        "for n in range(nmin, top + 1)",
-        "for n in range(nmin + 1, top + 1)",
+        'count_by_part_size(top, **spec["recipe"])[nmin:]',
+        'count_by_part_size(top, **spec["recipe"])[nmin + 1 :]',
         (INDEPENDENCE, "tests/test_identities.py::test_corollary3_injected_errors"),
     ),
     # the same row at full length, one n late: each side still comes from
@@ -262,25 +262,43 @@ CATALOGUE = (
     # run's pass
     Mutant(
         "cor-count-leg-one-n-late", IDENTITIES,
-        "for n in range(nmin, top + 1)",
-        "for n in range(nmin + 1, top + 2)",
+        'count_by_part_size(top, **spec["recipe"])[nmin:]',
+        'count_by_part_size(top + 1, **spec["recipe"])[nmin + 1 :]',
         (INDEPENDENCE,),
     ),
-    # The partition test each corollary counts by: cor3 keeps only a
-    # repeated largest part, and cor4 also at most one 2.
+    # The partition test each corollary's enumeration counts by: cor3 keeps
+    # only a repeated largest part, and cor4 also at most one 2.  The count
+    # leg reads the recipes, so only the tests of the enumeration see these.
     Mutant(
         "cor3-largest-part-at-least-the-next", IDENTITIES,
-        "a[-1] == a[-2]),",
-        "a[-1] >= a[-2]),",
+        "a[-1] == a[-2],\n",
+        "a[-1] >= a[-2],\n",
         ("tests/test_partitions.py::test_count_restricted_vs_differences",
-         "tests/test_identities.py::test_corollaries"),
+         "tests/test_partitions.py::test_count_by_part_size_matches_enumeration"),
     ),
     Mutant(
         "cor4-second-two-read-at-the-first-part", IDENTITIES,
         "a[1:2] != [2]",
         "a[:1] != [2]",
         ("tests/test_partitions.py::test_count_restricted_vs_differences",
-         "tests/test_identities.py::test_corollaries"),
+         "tests/test_partitions.py::test_count_by_part_size_matches_enumeration"),
+    ),
+    # The counting pass and the recipe of its rows: cor4 takes at most one 2
+    # out, and a part size may repeat, so each block of the row reads one
+    # already updated.
+    Mutant(
+        "cor4-recipe-extra-two-read-as-one", IDENTITIES,
+        "shifts=((2, 0), (2, 2))",
+        "shifts=((2, 0), (2, 1))",
+        ("tests/test_partitions.py::test_count_by_part_size_matches_enumeration",),
+    ),
+    Mutant(
+        "count-by-part-size-one-stale-add-per-size", PARTITIONS,
+        "        for b in range(size, top + 1, size):\n"
+        "            dp[b : b + size] = map(add, dp[b : b + size], dp[b - size : b])\n",
+        "        dp[size:] = map(add, dp[size:], dp[: top + 1 - size])\n",
+        ("tests/test_partitions.py::test_count_by_part_size_matches_enumeration",
+         "tests/test_partitions.py::test_count_by_part_size_counts_every_partition_past_the_cap"),
     ),
     # Table writers: each edit changes the bytes of some tables only (a
     # column whose smallest entry is its widest, json rows in more than one
