@@ -2,8 +2,8 @@
 connecting p(n), S^(r)_{n,k}, mu and phi.
 
 Each verifier sweeps a configurable range and hands its rows of checks to
-_sweep, the one place that builds a VerificationReport; _weighted_vs_p sets
-each weighted sum of S^(r) against its sum of p values, one route a side.
+_sweep, the one place that builds a VerificationReport.  Every weighted sum
+of S^(r) set against a sum of p values is a Leg handed to _weighted_vs_p.
 Failures are report content, never exceptions: a sweep always covers its
 full range and keeps up to a capped number of counterexamples as evidence.
 tests/test_independence.py checks that no check takes both sides from one route.
@@ -39,6 +39,9 @@ def _a_support(r: int) -> int:
 
 # A failed check; index is the sweep position, e.g. (n,) or (r, n, k).
 Counterexample = namedtuple("Counterexample", "index lhs rhs")
+
+# One weighted-vs-p row of checks; _weighted_vs_p names its fields.
+Leg = namedtuple("Leg", "first r weights offset terms sums p_first", defaults=(0, False))
 
 
 class VerificationReport:
@@ -174,24 +177,33 @@ def _sweep(identity: str, params: dict, cap: int, checks) -> VerificationReport:
 
 
 def _weighted_vs_p(nmax: int, legs):
-    """For each leg (first, r, weights, offset, terms) of the list legs, in
-    turn, the check (first, lhs, rhs) over n = first[-1]..nmax: lhs is
-    sum_k S^(r)_{n+offset,k} w(k), from one weighted_sr_sums pass over every
-    leg (so r must not decrease), and rhs is sum c p(n - s) over the (c, s)
-    in terms, from one pentagonal p.  weights is the statement's weight row,
-    its sign included."""
-    order = nmax + max(offset for _, _, _, offset, _ in legs)
-    sums = weighted_sr_sums(((r, weights) for _, r, weights, _, _ in legs), order)
-    p = None
-    # next(sums), not a zip over legs and sums: zip's reused result tuple
-    # would hold each series until the next one is built
-    for first, _, _, offset, terms in legs:
-        nmin = first[-1]
-        lhs = next(sums).coeffs[offset + nmin : offset + nmax + 1]
+    """For each Leg (first, r, weights, offset, terms, sums, p_first) of the
+    list legs, the check (first, lhs, rhs) over n = first[-1]..nmax.  One side
+    is sum_k S^(r)_{n+offset,k} w(k), weights being the statement's weight
+    row, its sign included; the other is sum c p(n - s) over the (c, s) in
+    terms, from one pentagonal p, taken through `sums` running sums, and it
+    is lhs if p_first.  The series come from one weighted_sr_sums pass, so
+    they are computed in order of r, and yielded in leg order: a leg's
+    series row is held only until the legs before it have been yielded."""
+    order = nmax + max(leg.offset for leg in legs)
+    by_r = sorted(range(len(legs)), key=lambda i: legs[i].r)
+    series = weighted_sr_sums(((legs[i].r, legs[i].weights) for i in by_r), order)
+    todo, held, p = iter(by_r), {}, None
+    for i, (first, _, _, _, terms, sums, p_first) in enumerate(legs):
+        # next(series), not a zip over by_r and series: zip's reused result
+        # tuple would hold each series until the next one is built
+        while i not in held:
+            j = next(todo)
+            held[j] = next(series).coeffs[legs[j].offset + legs[j].first[-1] : legs[j].offset + nmax + 1]
+        s_row = held.pop(i)
         # p is built after the first series, so it is not held through that product
         p = p or partition_table_pentagonal(nmax)
-        yield first, lhs, _shifted_p_sums(p, terms)[nmin:]
-        del lhs
+        p_row = _shifted_p_sums(p, terms)
+        for _ in range(sums):
+            p_row = accumulate(p_row)
+        p_row = list(islice(p_row, first[-1], None))
+        yield (first, p_row, s_row) if p_first else (first, s_row, p_row)
+        del s_row, p_row
 
 
 def verify_theorem1(nmax: int, r: int, cap: int = DEFAULT_COUNTEREXAMPLE_CAP) -> VerificationReport:
@@ -199,8 +211,8 @@ def verify_theorem1(nmax: int, r: int, cap: int = DEFAULT_COUNTEREXAMPLE_CAP) ->
     if r not in (1, 2):
         raise ValueError(f"r must be 1 or 2, got {r}")
     weights = [(-1) ** (r - 1) * m for m in build_sieve(nmax + r)]
-    [(first, lhs, p)] = _weighted_vs_p(nmax, [((0,), r, weights, r, ((1, 0),))])
-    return _sweep("thm1", {"nmax": nmax, "r": r}, cap, [(first, p, lhs)])
+    checks = _weighted_vs_p(nmax, [Leg((0,), r, weights, r, ((1, 0),), p_first=True)])
+    return _sweep("thm1", {"nmax": nmax, "r": r}, cap, checks)
 
 
 def verify_theorem2(nmax: int, rmax: int, cap: int = DEFAULT_COUNTEREXAMPLE_CAP) -> VerificationReport:
@@ -209,7 +221,7 @@ def verify_theorem2(nmax: int, rmax: int, cap: int = DEFAULT_COUNTEREXAMPLE_CAP)
         raise ValueError(f"rmax must be >= 1, got {rmax}")
     mu = build_sieve(nmax + rmax)
     # Only the right-hand sides read the a rows, each one term at a time.
-    legs = [((r, 0), r, mu, r, ((c, j) for j, c in enumerate(a_row))) for r, a_row in enumerate(build_a(rmax, mu), 1)]
+    legs = [Leg((r, 0), r, mu, r, ((c, j) for j, c in enumerate(a_row))) for r, a_row in enumerate(build_a(rmax, mu), 1)]
     return _sweep("thm2", {"nmax": nmax, "rmax": rmax}, cap, _weighted_vs_p(nmax, legs))
 
 
@@ -271,31 +283,23 @@ def verify_corollary(which: int, nmax: int, cap: int = DEFAULT_COUNTEREXAMPLE_CA
     spec = COROLLARY_SPECS[which]
     offset, nmin = spec["offset"], spec["nmin"]
     weights = [-m for m in build_sieve(nmax + offset)]
-    [(first, msum, diff)] = _weighted_vs_p(nmax, [((1, nmin), spec["r"], weights, offset, spec["diff"])])
-    top = min(nmax, ENUMERATION_CAP)
+    [leg1] = _weighted_vs_p(nmax, [Leg((1, nmin), spec["r"], weights, offset, spec["diff"], p_first=True)])
+    top, diff = min(nmax, ENUMERATION_CAP), leg1[1]
     counts = count_by_part_size(top, **spec["recipe"])[nmin:]
-    checks = [(first, diff, msum), ((2, nmin), diff[: top + 1 - nmin], counts)]
+    checks = [leg1, ((2, nmin), diff[: top + 1 - nmin], counts)]
     return _sweep(f"cor{which}", {"nmax": nmax}, cap, checks)
 
 
 def verify_phi_identities(nmax: int, cap: int = DEFAULT_COUNTEREXAMPLE_CAP) -> VerificationReport:
     """Totient analogues: sum_k S^(1)_{n+1,k} phi(k) = sum_k (k+1) p(n-k)
     and sum_k S^(2)_{n+2,k} phi(k) = sum_k p(n-k) = S^(1)_{n+1,1}."""
-    order = nmax + 2
-    phi = totient_row(order)
-    ones = [0, 1] + [0] * (order - 1)
-    s1_phi, s1_ones, s2_phi = weighted_sr_sums([(1, phi), (1, ones), (2, phi)], order)
-    # Running sums: rhs2(n) = sum_{j<=n} p(j), and rhs1 is the running sum of
-    # rhs2 since sum_k (k+1) p(n-k) = sum_{j<=n} (n-j+1) p(j).
-    rhs2 = list(accumulate(partition_table_pentagonal(nmax).values))
-    rhs1 = list(accumulate(rhs2))
-    # one row per form, indexed (form, n), in the order of the docstring
-    checks = [
-        ((1, 0), s1_phi.coeffs[1:order], rhs1),
-        ((2, 0), s2_phi.coeffs[2:], rhs2),
-        ((3, 0), rhs2, s1_ones.coeffs[1:order]),
-    ]
-    return _sweep("phi", {"nmax": nmax}, cap, checks)
+    phi = totient_row(nmax + 2)
+    ones = [0, 1] + [0] * (nmax + 1)
+    # one leg per form, indexed (form, n), in the order of the docstring; form 1
+    # takes two running sums of p, since sum_k (k+1) p(n-k) = sum_{j<=n} (n-j+1) p(j)
+    p_n = ((1, 0),)
+    legs = [Leg((1, 0), 1, phi, 1, p_n, 2), Leg((2, 0), 2, phi, 2, p_n, 1), Leg((3, 0), 1, ones, 1, p_n, 1, True)]
+    return _sweep("phi", {"nmax": nmax}, cap, _weighted_vs_p(nmax, legs))
 
 
 # which -> (S^(r) table r, sign of the row mu(k) [alpha does not divide k],
@@ -338,7 +342,7 @@ def verify_prime_corollary(
     while power <= nmax + 1:
         terms += [(c_this, power - 1), (c_next, alpha * power - 2)]
         power *= alpha
-    checks = _weighted_vs_p(nmax, [((0,), r, weights, r, terms)])
+    checks = _weighted_vs_p(nmax, [Leg((0,), r, weights, r, terms)])
     return _sweep("prime-alpha", {"nmax": nmax, "alpha": alpha, "which": which}, cap, checks)
 
 

@@ -455,11 +455,12 @@ def test_theorem2_builds_one_inverse(monkeypatch):
     assert starts == [1]
 
 
-def test_theorem2_frees_each_leg_before_the_next(monkeypatch):
-    # no series and no row of leg r is alive when leg r + 1's series is
-    # asked for: each is weakly referenced, the series and its lhs slice
-    # through a wrapped weighted_sr_sums and the rhs through the p sums
-    refs = []
+def _track_leg_rows(monkeypatch):
+    """Weakly reference every series, lhs slice and rhs row of a weighted
+    sweep, the series and its slices through a wrapped weighted_sr_sums and
+    the rhs through the p sums; returns the references and the list of
+    (r, objects alive) at each request for a series."""
+    refs, requests = [], []
 
     def tracked(obj):
         refs.append(weakref.ref(obj))
@@ -479,20 +480,34 @@ def test_theorem2_frees_each_leg_before_the_next(monkeypatch):
     real_sums, real_series = identities._shifted_p_sums, identities.weighted_sr_sums
 
     def weighted_sr_sums(pairs, order):
+        pairs = list(pairs)
         sums = real_series(pairs, order)
-        while True:
-            alive = sum(ref() is not None for ref in refs)
-            assert alive == 0, f"{alive} objects of earlier legs alive as the next series is built"
-            series = next(sums, None)
-            if series is None:
-                return
-            yield tracked(Series(series.coeffs))
+        for r, _ in pairs:
+            requests.append((r, sum(ref() is not None for ref in refs)))
+            yield tracked(Series(next(sums).coeffs))
 
     monkeypatch.setattr(identities, "_shifted_p_sums", lambda *args: tracked(Row(real_sums(*args))))
     monkeypatch.setattr(identities, "weighted_sr_sums", weighted_sr_sums)
+    return refs, requests
+
+
+def test_theorem2_frees_each_leg_before_the_next(monkeypatch):
+    # no series and no row of leg r is alive when leg r + 1's series is
+    # asked for
+    refs, requests = _track_leg_rows(monkeypatch)
     report = verify_theorem2(40, 6)
     assert report.passed and report.checked == 6 * 41
+    assert requests == [(r, 0) for r in range(1, 7)]
     assert len(refs) == 3 * 6
+
+
+def test_phi_holds_one_earlier_row_as_its_r2_series_is_built(monkeypatch):
+    # the series are built in order of r, forms 1, 3, 2, and yielded in
+    # form order: only form 3's lhs slice waits while form 2's is built
+    refs, requests = _track_leg_rows(monkeypatch)
+    report = verify_phi_identities(40)
+    assert report.passed and report.checked == 3 * 41
+    assert requests == [(1, 0), (1, 0), (2, 1)]
 
 
 def test_lemma1_builds_each_table_from_its_own_inverse(monkeypatch):

@@ -193,10 +193,11 @@ CATALOGUE = (
         "            inv[:] = partition_table_pentagonal(order).values\n",
         (INDEPENDENCE,),
     ),
+    # thm1 puts its p side first, as cor2-4's leg 1 and phi's form 3 do
     Mutant(
         "thm1-p-side-from-series-row", IDENTITIES,
-        "[(first, p, lhs)]",
-        "[(first, lhs, lhs)]",
+        "(first, p_row, s_row) if p_first",
+        "(first, s_row, s_row) if p_first",
         (INDEPENDENCE, "tests/test_identities.py::test_theorem1_injected_errors"),
     ),
     Mutant(
@@ -238,9 +239,32 @@ CATALOGUE = (
     ),
     Mutant(
         "thm2-leg-first-one-n-late", IDENTITIES,
-        "[((r, 0), r, mu, r,",
-        "[((r, 1), r, mu, r,",
+        "[Leg((r, 0), r, mu, r,",
+        "[Leg((r, 1), r, mu, r,",
         ("tests/test_identities.py::test_theorem2_injected_error",),
+    ),
+    # A leg's running sums and the side it prints first: phi's form 1 sums p
+    # twice, and its form 3 puts p first.
+    Mutant(
+        "phi-form1-one-running-sum", IDENTITIES,
+        "Leg((1, 0), 1, phi, 1, p_n, 2)",
+        "Leg((1, 0), 1, phi, 1, p_n, 1)",
+        ("tests/test_identities.py::test_phi_identities",
+         "tests/test_identities.py::test_phi_injected_errors"),
+    ),
+    Mutant(
+        "phi-form3-series-side-first", IDENTITIES,
+        "Leg((3, 0), 1, ones, 1, p_n, 1, True)",
+        "Leg((3, 0), 1, ones, 1, p_n, 1)",
+        ("tests/test_identities.py::test_phi_injected_errors",),
+    ),
+    # The series are computed in order of r but yielded in leg order, so
+    # phi's counterexamples come form by form.
+    Mutant(
+        "weighted-legs-yielded-in-order-of-r", IDENTITIES,
+        "in enumerate(legs):",
+        "in ((i, legs[i]) for i in by_r):",
+        ("tests/test_identities.py::test_phi_injected_errors",),
     ),
     # Counterexample indices: record_all numbers a row's checks from the last
     # coordinate of its first index, and a row starts at the n that index
