@@ -91,8 +91,8 @@ IDENTITIES = {
     "cor3": Identity("verify_corollary", {"nmax": 45}, lambda nmax: _sweep(nmax + 5), {"which": 3}),
     "cor4": Identity("verify_corollary", {"nmax": 45}, lambda nmax: _sweep(nmax + 5), {"which": 4}),
     "weighted": Identity("verify_weighted_corollary", {"nmax": 30, "r": 1}, lambda nmax, r: _sweep(nmax)),
-    # phi holds form 3's series row and p while it builds form 2's series: three
-    # more p-sized ints per n (8.4 to 10.7 in all measured at order 3000 to 20000)
+    # phi holds p while it builds the series of forms 2 and 3, one p-sized int per n
+    # more than thm1; three are priced (7.5 to 10.0 in all measured at order 3000 to 20000)
     "phi": Identity(
         "verify_phi_identities", {"nmax": 60},
         lambda nmax: _sweep(nmax + 2, PHI_ENTRY_BYTES) + _ints(3 * (nmax + 3), nmax + 2),

@@ -182,20 +182,15 @@ def _weighted_vs_p(nmax: int, legs):
     is sum_k S^(r)_{n+offset,k} w(k), weights being the statement's weight
     row, its sign included; the other is sum c p(n - s) over the (c, s) in
     terms, from one pentagonal p, taken through `sums` running sums, and it
-    is lhs if p_first.  The series come from one weighted_sr_sums pass, so
-    they are computed in order of r, and yielded in leg order: a leg's
-    series row is held only until the legs before it have been yielded."""
+    is lhs if p_first.  One weighted_sr_sums pass builds the series in leg
+    order, each after the check before it has been yielded and freed."""
     order = nmax + max(leg.offset for leg in legs)
-    by_r = sorted(range(len(legs)), key=lambda i: legs[i].r)
-    series = weighted_sr_sums(((legs[i].r, legs[i].weights) for i in by_r), order)
-    todo, held, p = iter(by_r), {}, None
-    for i, (first, _, _, _, terms, sums, p_first) in enumerate(legs):
-        # next(series), not a zip over by_r and series: zip's reused result
+    series = weighted_sr_sums(((leg.r, leg.weights) for leg in legs), order)
+    p = None
+    for first, _, _, offset, terms, sums, p_first in legs:
+        # next(series), not a zip over legs and series: zip's reused result
         # tuple would hold each series until the next one is built
-        while i not in held:
-            j = next(todo)
-            held[j] = next(series).coeffs[legs[j].offset + legs[j].first[-1] : legs[j].offset + nmax + 1]
-        s_row = held.pop(i)
+        s_row = next(series).coeffs[offset + first[-1] : offset + nmax + 1]
         # p is built after the first series, so it is not held through that product
         p = p or partition_table_pentagonal(nmax)
         p_row = _shifted_p_sums(p, terms)

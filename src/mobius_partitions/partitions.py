@@ -12,6 +12,7 @@ much larger n.
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import accumulate
 from operator import add, sub
 from typing import Iterator
 
@@ -259,19 +260,21 @@ def weighted_sr_sums(pairs, order: int) -> Iterator[TruncatedSeries]:
     simplified, so an identity about it (such as the mu-series collapsing
     to q) is not assumed here.
 
-    One 1/(q; q)_inf is stepped forward to each r, so r must not decrease:
-    1/(q^(r+1); q)_inf = (1 - q^r) * 1/(q^r; q)_inf is one subtraction of
-    the series shifted by r.
+    One 1/(q; q)_inf is stepped to each r, in whatever order the pairs
+    come: 1/(q^(s+1); q)_inf = (1 - q^s) * 1/(q^s; q)_inf, so a step up
+    from s is one subtraction of the series shifted by s, and a step down
+    to s divides by 1 - q^s, one running sum along each residue class mod s.
     """
     inv = None
     for r, weights in pairs:
         _check_sr_args(r, order)
         if inv is None:
             inv, at = list(pochhammer_inverse(1, order).coeffs), 1
-        if r < at:
-            raise ValueError(f"r must not decrease, got {r} after {at}")
         for s in range(at, r):
             inv[s:] = map(sub, inv[s:], inv[:-s])
+        for s in range(r, at):
+            for c in range(s):
+                inv[c::s] = accumulate(inv[c::s])
         at = r
         row = [0] * r
         row += weights[r : order + 1]

@@ -501,13 +501,13 @@ def test_theorem2_frees_each_leg_before_the_next(monkeypatch):
     assert len(refs) == 3 * 6
 
 
-def test_phi_holds_one_earlier_row_as_its_r2_series_is_built(monkeypatch):
-    # the series are built in order of r, forms 1, 3, 2, and yielded in
-    # form order: only form 3's lhs slice waits while form 2's is built
+def test_phi_frees_each_leg_before_the_next(monkeypatch):
+    # the series are built in form order, r = 1, 2, 1: no series and no row
+    # of one form is alive when the next form's series is asked for
     refs, requests = _track_leg_rows(monkeypatch)
     report = verify_phi_identities(40)
     assert report.passed and report.checked == 3 * 41
-    assert requests == [(1, 0), (1, 0), (2, 1)]
+    assert requests == [(1, 0), (2, 0), (1, 0)]
 
 
 def test_lemma1_builds_each_table_from_its_own_inverse(monkeypatch):
@@ -784,9 +784,9 @@ def test_theorem1_injected_errors(monkeypatch, cap):
 
 @pytest.mark.parametrize("cap", [1, 10])
 def test_phi_injected_errors(monkeypatch, cap):
-    # products in order: s1_phi, s1_ones, s2_phi; the checks at n are
+    # products in order: s1_phi, s2_phi, s1_ones; the checks at n are
     # s1_phi(n+1) = rhs1, s2_phi(n+2) = rhs2, rhs2 = s1_ones(n+1)
-    _bump_products(monkeypatch, [(0, 5 + 1, 1), (2, 5 + 2, 1), (1, 3 + 1, 1)])
+    _bump_products(monkeypatch, [(0, 5 + 1, 1), (1, 5 + 2, 1), (2, 3 + 1, 1)])
     report = verify_phi_identities(30, cap=cap)
     assert report.checked == 3 * 31
     # p = 1, 1, 2, 3, 5, 7: rhs2(3) = 7, rhs2(5) = 19, rhs1(5) = 45

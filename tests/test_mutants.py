@@ -16,6 +16,18 @@ def test_mutant_old_text_occurs_once(mutant):
     assert (ROOT / mutant.file).read_text().count(mutant.old) == 1
 
 
+def test_every_named_test_exists():
+    # a renamed test would otherwise show only when the runner's unmutated
+    # pass stops on pytest's exit 4 (no such test)
+    for mutant in mutants.CATALOGUE:
+        for test in mutant.tests:
+            path, _, name = test.partition("::")
+            assert (ROOT / path).is_file(), test
+            if name:
+                name = name.split("[")[0]
+                assert f"def {name}(" in (ROOT / path).read_text(), test
+
+
 def test_committed_record_matches_catalogue():
     # MUTANTS.json is written by the runner; a mutant added or edited
     # without a rerun leaves it stale

@@ -183,6 +183,25 @@ CATALOGUE = (
         ("tests/test_partitions.py::test_part_counts_matches_per_part_loop",
          "tests/test_identities.py::test_sr_oracle"),
     ),
+    # The one inverse of weighted_sr_sums stepped down: dividing by 1 - q^s
+    # takes a running sum along every residue class mod s, for every s from
+    # the new r up to the old one.
+    Mutant(
+        "step-down-one-residue-class-short", PARTITIONS,
+        "for c in range(s):",
+        "for c in range(1, s):",
+        ("tests/test_partitions.py::test_weighted_sr_sums_step_down_as_well_as_up",
+         "tests/test_identities.py::test_phi_identities",
+         "tests/test_identities.py::test_phi_injected_errors"),
+    ),
+    Mutant(
+        "step-down-one-step-short", PARTITIONS,
+        "for s in range(r, at):",
+        "for s in range(r + 1, at):",
+        ("tests/test_partitions.py::test_weighted_sr_sums_step_down_as_well_as_up",
+         "tests/test_identities.py::test_phi_identities",
+         "tests/test_identities.py::test_phi_injected_errors"),
+    ),
     # Route leaks: one check takes both of its sides from one route.  The
     # values stay right, so only a test that perturbs what a route returns
     # sees them.
@@ -256,14 +275,6 @@ CATALOGUE = (
         "phi-form3-series-side-first", IDENTITIES,
         "Leg((3, 0), 1, ones, 1, p_n, 1, True)",
         "Leg((3, 0), 1, ones, 1, p_n, 1)",
-        ("tests/test_identities.py::test_phi_injected_errors",),
-    ),
-    # The series are computed in order of r but yielded in leg order, so
-    # phi's counterexamples come form by form.
-    Mutant(
-        "weighted-legs-yielded-in-order-of-r", IDENTITIES,
-        "in enumerate(legs):",
-        "in ((i, legs[i]) for i in by_r):",
         ("tests/test_identities.py::test_phi_injected_errors",),
     ),
     # Counterexample indices: record_all numbers a row's checks from the last
