@@ -74,10 +74,10 @@ class VerificationReport:
         """Count one check per position i of two equal-length rows, indexed
         by first with i added to its last coordinate; the same bookkeeping
         as record at every position, with one C-level pass over rows that
-        agree."""
+        agree: one == where both rows have one type."""
         if len(lhs) != len(rhs):
             raise ValueError(f"rows of unequal length: {len(lhs)} != {len(rhs)}")
-        if all(map(eq, lhs, rhs)):
+        if lhs == rhs or all(map(eq, lhs, rhs)):
             self.checked += len(lhs)
             return
         *head, start = first
@@ -153,6 +153,29 @@ def build_a(rmax: int, mu: tuple) -> list:
     return rows
 
 
+def convolved_a_rows(p: PartitionTable, mu: tuple, rmax: int):
+    """Yield [A_r(n) for n <= p.limit - rmax], r = 1..rmax, where A_r(n) =
+    sum_j a_{r,j} p(n-j) and p(<0) = 0, with no a or b row built: the a and b
+    recurrences step A_r and B_r(n) = sum_j b_{r,j} p(n-j) from A_1 = B_1 = p,
+    in a few C-level passes over p, since A_r(0) = a_{r,0} and B_r(0) = 1:
+      A_{r+1}(n) = A_r(n+1) - A_r(0) p(n+1) - mu(r) (B_r(n+1) - p(n+1)) - A_r(n+1-r),
+      B_{r+1}(n) = B_r(n) - B_r(n-r)."""
+    size = p.limit + 1 - rmax
+    if len(mu) < rmax or size < 0:
+        raise ValueError(f"rmax={rmax} needs mu and p to rmax - 1, got {len(mu) - 1} and {p.limit}")
+    a, b = p.values, list(p.values)
+    yield list(islice(a, size))
+    for r in range(1, rmax):
+        # A_r is held for n <= p.limit + 1 - r and B_r for n <= p.limit + 2 - r
+        prev, mu_r = a, mu[r]
+        up = map(add, islice(prev, 1, None), map(mul, repeat(mu_r - prev[0]), islice(p.values, 1, None)))
+        a = list(map(sub, up, map(mul, repeat(mu_r), islice(b, 1, None))))
+        a[r - 1 :] = map(sub, islice(a, r - 1, None), prev)
+        del prev, b[p.limit + 1 - r :]
+        b[r:] = map(sub, islice(b, r, None), b)
+        yield list(islice(a, size))
+
+
 def _shifted_p_sums(p: PartitionTable, terms) -> list:
     """[sum of c p(n - s) over the (c, s) in terms, for n <= p.limit], with
     p(<0) = 0: one C-level pass over p per nonzero c.  Every shift s is >= 0."""
@@ -176,27 +199,31 @@ def _sweep(identity: str, params: dict, cap: int, checks) -> VerificationReport:
     return report
 
 
-def _weighted_vs_p(nmax: int, legs):
+def _weighted_vs_p(nmax: int, legs, p_rows=None):
     """For each Leg (first, r, weights, offset, terms, sums, p_first) of the
     list legs, the check (first, lhs, rhs) over n = first[-1]..nmax.  One side
     is sum_k S^(r)_{n+offset,k} w(k), weights being the statement's weight
     row, its sign included; the other is sum c p(n - s) over the (c, s) in
-    terms, from one pentagonal p, taken through `sums` running sums, and it
-    is lhs if p_first.  One weighted_sr_sums pass builds the series in leg
-    order, each after the check before it has been yielded and freed."""
+    terms, from one pentagonal p to the series' order, taken through `sums`
+    running sums, and it is lhs if p_first.  p_rows, if given, maps that p
+    to an iterator of the legs' p sides in place of their terms.  One
+    weighted_sr_sums pass builds the series in leg order, each after the
+    check before it has been yielded and freed."""
     order = nmax + max(leg.offset for leg in legs)
     series = weighted_sr_sums(((leg.r, leg.weights) for leg in legs), order)
-    p = None
-    for first, _, _, offset, terms, sums, p_first in legs:
+    if p_rows is None:
+        p_rows = lambda p: (_shifted_p_sums(p, leg.terms) for leg in legs)
+    rows = None
+    for first, _, _, offset, _, sums, p_first in legs:
         # next(series), not a zip over legs and series: zip's reused result
         # tuple would hold each series until the next one is built
         s_row = next(series).coeffs[offset + first[-1] : offset + nmax + 1]
         # p is built after the first series, so it is not held through that product
-        p = p or partition_table_pentagonal(nmax)
-        p_row = _shifted_p_sums(p, terms)
+        rows = rows or p_rows(partition_table_pentagonal(order))
+        p_row = next(rows)
         for _ in range(sums):
             p_row = accumulate(p_row)
-        p_row = list(islice(p_row, first[-1], None))
+        p_row = list(islice(p_row, first[-1], nmax + 1))
         yield (first, p_row, s_row) if p_first else (first, s_row, p_row)
         del s_row, p_row
 
@@ -215,9 +242,9 @@ def verify_theorem2(nmax: int, rmax: int, cap: int = DEFAULT_COUNTEREXAMPLE_CAP)
     if rmax < 1:
         raise ValueError(f"rmax must be >= 1, got {rmax}")
     mu = build_sieve(nmax + rmax)
-    # Only the right-hand sides read the a rows, each one term at a time.
-    legs = [Leg((r, 0), r, mu, r, ((c, j) for j, c in enumerate(a_row))) for r, a_row in enumerate(build_a(rmax, mu), 1)]
-    return _sweep("thm2", {"nmax": nmax, "rmax": rmax}, cap, _weighted_vs_p(nmax, legs))
+    legs = [Leg((r, 0), r, mu, r, None) for r in range(1, rmax + 1)]
+    checks = _weighted_vs_p(nmax, legs, lambda p: convolved_a_rows(p, mu, rmax))
+    return _sweep("thm2", {"nmax": nmax, "rmax": rmax}, cap, checks)
 
 
 def verify_weighted_corollary(nmax: int, r: int, cap: int = DEFAULT_COUNTEREXAMPLE_CAP) -> VerificationReport:
@@ -378,9 +405,8 @@ def verify_lemma1(nmax: int, rmax: int, cap: int = DEFAULT_COUNTEREXAMPLE_CAP) -
 def verify_lambert(nmax: int, cap: int = DEFAULT_COUNTEREXAMPLE_CAP) -> VerificationReport:
     """The Lambert series sum_k mu(k) q^k/(1-q^k) collapses to q exactly."""
     series = lambert_sum(build_sieve(max(nmax, 1)), nmax)
-    expected = [0] * (nmax + 1)
-    if nmax >= 1:
-        expected[1] = 1
+    # a tuple, like the coefficients, so that record_all compares them with one ==
+    expected = (0, 1)[: nmax + 1] + (0,) * (nmax - 1)
     return _sweep("lambert", {"nmax": nmax}, cap, [((0,), series.coeffs, expected)])
 
 

@@ -335,7 +335,7 @@ def no_allocation(monkeypatch):
     [
         ["verify", "thm1", "--nmax", "100000000"],
         ["verify", "thm2", "--nmax", "100000000"],
-        ["verify", "thm2", "--nmax", "10", "--rmax", "5000"],
+        ["verify", "thm2", "--nmax", "10", "--rmax", "100000000"],
         ["verify", "cor2", "--nmax", "100000000"],
         ["verify", "cor3", "--nmax", "100000000"],
         ["verify", "cor4", "--nmax", "100000000"],

@@ -1,4 +1,5 @@
 import weakref
+from operator import mul
 
 import pytest
 
@@ -72,6 +73,44 @@ def test_build_rejects_bad_args():
         build_a(10, build_sieve(5))
     with pytest.raises(ValueError, match="rmax must be >= 2, got 1"):
         verify_b_symmetry(1)
+
+
+def _convolved_reference(nmax, rmax):
+    """[sum_j a_{r,j} p(n-j) for n <= nmax] for r = 1..rmax, from build_a's
+    rows, one dot product per (r, n)."""
+    from mobius_partitions.partitions import partition_table_pentagonal
+
+    p, a_rows = partition_table_pentagonal(nmax), build_a(rmax, build_sieve(rmax))
+    rows = [[] for _ in a_rows]
+    for n in range(nmax + 1):
+        back = p.values[n::-1]
+        for row, a_row in zip(rows, a_rows):
+            row.append(sum(map(mul, a_row, back)))
+    return rows
+
+
+@pytest.mark.parametrize(
+    "sizes",
+    [[(nmax, rmax) for nmax in range(31) for rmax in range(1, 15)], [(400, 60)]],
+    ids=["grid", "400-60"],
+)
+def test_convolved_a_rows_match_the_a_rows(sizes):
+    # the grid steps past mu(r) = 0 (r = 4, 8, 9, 12) and has rmax > nmax
+    from mobius_partitions.partitions import partition_table_pentagonal
+
+    for nmax, rmax in sizes:
+        p = partition_table_pentagonal(nmax + rmax)
+        rows = list(identities.convolved_a_rows(p, build_sieve(rmax), rmax))
+        assert rows == _convolved_reference(nmax, rmax), (nmax, rmax)
+
+
+def test_convolved_a_rows_reject_short_inputs():
+    from mobius_partitions.partitions import partition_table_pentagonal
+
+    with pytest.raises(ValueError, match="needs mu and p"):
+        next(identities.convolved_a_rows(partition_table_pentagonal(10), build_sieve(3), 5))
+    with pytest.raises(ValueError, match="needs mu and p"):
+        next(identities.convolved_a_rows(partition_table_pentagonal(3), build_sieve(5), 6))
 
 
 def test_report_bookkeeping():
@@ -455,11 +494,23 @@ def test_theorem2_builds_one_inverse(monkeypatch):
     assert starts == [1]
 
 
+def test_theorem2_builds_no_a_row(monkeypatch):
+    # its right-hand sides are stepped by convolved_a_rows, not summed one
+    # a_{r,j} at a time
+    def refuse(*args):
+        raise AssertionError("called")
+
+    for name in ("build_a", "build_b", "_shifted_p_sums"):
+        monkeypatch.setattr(identities, name, refuse)
+    assert verify_theorem2(60, 12).passed
+
+
 def _track_leg_rows(monkeypatch):
     """Weakly reference every series, lhs slice and rhs row of a weighted
     sweep, the series and its slices through a wrapped weighted_sr_sums and
-    the rhs through the p sums; returns the references and the list of
-    (r, objects alive) at each request for a series."""
+    the rhs through the p sums or, for thm2, the rows of convolved_a_rows;
+    returns the references and the list of (r, objects alive) at each
+    request for a series."""
     refs, requests = [], []
 
     def tracked(obj):
@@ -478,6 +529,7 @@ def _track_leg_rows(monkeypatch):
             self.coeffs = Coefficients(coeffs)
 
     real_sums, real_series = identities._shifted_p_sums, identities.weighted_sr_sums
+    real_rows = identities.convolved_a_rows
 
     def weighted_sr_sums(pairs, order):
         pairs = list(pairs)
@@ -487,6 +539,7 @@ def _track_leg_rows(monkeypatch):
             yield tracked(Series(next(sums).coeffs))
 
     monkeypatch.setattr(identities, "_shifted_p_sums", lambda *args: tracked(Row(real_sums(*args))))
+    monkeypatch.setattr(identities, "convolved_a_rows", lambda *args: (tracked(Row(row)) for row in real_rows(*args)))
     monkeypatch.setattr(identities, "weighted_sr_sums", weighted_sr_sums)
     return refs, requests
 

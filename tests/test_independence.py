@@ -100,6 +100,7 @@ ROUTES = {
     # build_b stays: shifted b rows would trip build_a's support assertion
     "recurrence": {
         "build_a": lambda real: lambda rmax, mu: [_shifted(row) for row in real(rmax, mu)],
+        "convolved_a_rows": lambda real: lambda p, mu, rmax: (_shifted(row) for row in real(p, mu, rmax)),
     },
 }
 

@@ -256,6 +256,14 @@ CATALOGUE = (
         "list(build_sieve(nmax + r))",
         ("tests/test_identities.py::test_theorem1_injected_errors",),
     ),
+    # thm2's right-hand rows: A_{r+1}(n) takes A_r(0) p(n+1) off A_r(n+1).
+    Mutant(
+        "convolved-a-rows-a0-term-dropped", IDENTITIES,
+        "repeat(mu_r - prev[0])",
+        "repeat(mu_r)",
+        ("tests/test_identities.py::test_convolved_a_rows_match_the_a_rows",
+         "tests/test_identities.py::test_theorem2_sweep"),
+    ),
     Mutant(
         "thm2-leg-first-one-n-late", IDENTITIES,
         "[Leg((r, 0), r, mu, r,",
