@@ -80,13 +80,15 @@ Identity = namedtuple("Identity", "verifier flags price fixed", defaults=({},))
 # attribute (a tracer's wrapper, a test double) is the one called.  Dense
 # S^(r) tables have half their cells zero; thm2 holds four rows of p-sized
 # ints more than a sweep (its peak measured 7.5 to 11.1 per n in all, at
-# nmax + rmax = 90 to 3030).  thm1 is priced at r = 2, its largest r,
+# nmax + rmax = 20 to 3030, rmax up to 100 nmax) and 4 KiB for its report,
+# series and generators (2.1 KiB at most measured at nmax + rmax <= 10,
+# where the rows are small).  thm1 is priced at r = 2, its largest r,
 # and so is prime-alpha, whose every form reads mu(k) for k <= nmax + r only.
 IDENTITIES = {
     "thm1": Identity("verify_theorem1", {"nmax": 100, "r": 1}, lambda nmax, r: _sweep(nmax + 2)),
     "thm2": Identity(
         "verify_theorem2", {"nmax": 60, "rmax": 6},
-        lambda nmax, rmax: _sweep(nmax + rmax) + _ints(4 * (nmax + rmax + 1), nmax + rmax),
+        lambda nmax, rmax: 4096 + _sweep(nmax + rmax) + _ints(4 * (nmax + rmax + 1), nmax + rmax),
     ),
     "cor2": Identity("verify_corollary", {"nmax": 45}, lambda nmax: _sweep(nmax + 5), {"which": 2}),
     "cor3": Identity("verify_corollary", {"nmax": 45}, lambda nmax: _sweep(nmax + 5), {"which": 3}),

@@ -154,26 +154,26 @@ def build_a(rmax: int, mu: tuple) -> list:
 
 
 def convolved_a_rows(p: PartitionTable, mu: tuple, rmax: int):
-    """Yield [A_r(n) for n <= p.limit - rmax], r = 1..rmax, where A_r(n) =
+    """Yield [A_r(n) for n <= p.limit + 1 - r], r = 1..rmax, where A_r(n) =
     sum_j a_{r,j} p(n-j) and p(<0) = 0, with no a or b row built: the a and b
     recurrences step A_r and B_r(n) = sum_j b_{r,j} p(n-j) from A_1 = B_1 = p,
     in a few C-level passes over p, since A_r(0) = a_{r,0} and B_r(0) = 1:
       A_{r+1}(n) = A_r(n+1) - A_r(0) p(n+1) - mu(r) (B_r(n+1) - p(n+1)) - A_r(n+1-r),
-      B_{r+1}(n) = B_r(n) - B_r(n-r)."""
-    size = p.limit + 1 - rmax
-    if len(mu) < rmax or size < 0:
+      B_{r+1}(n) = B_r(n) - B_r(n-r).
+    Each row is yielded uncopied; the next step builds a new one."""
+    if len(mu) < rmax or p.limit + 1 < rmax:
         raise ValueError(f"rmax={rmax} needs mu and p to rmax - 1, got {len(mu) - 1} and {p.limit}")
     a, b = p.values, list(p.values)
-    yield list(islice(a, size))
+    yield a
     for r in range(1, rmax):
-        # A_r is held for n <= p.limit + 1 - r and B_r for n <= p.limit + 2 - r
+        # A_r and B_r are held for n <= p.limit + 1 - r
         prev, mu_r = a, mu[r]
         up = map(add, islice(prev, 1, None), map(mul, repeat(mu_r - prev[0]), islice(p.values, 1, None)))
         a = list(map(sub, up, map(mul, repeat(mu_r), islice(b, 1, None))))
         a[r - 1 :] = map(sub, islice(a, r - 1, None), prev)
         del prev, b[p.limit + 1 - r :]
         b[r:] = map(sub, islice(b, r, None), b)
-        yield list(islice(a, size))
+        yield a
 
 
 def _shifted_p_sums(p: PartitionTable, terms) -> list:

@@ -427,10 +427,11 @@ def test_prime_alpha_price_covers_its_peak(nmax, alpha, which):
         ("lemma1", {"nmax": 120, "rmax": 8}), ("lemma1", {"nmax": 200, "rmax": 2}),
         ("lemma1", {"nmax": 300, "rmax": 8}), ("b-symmetry", {"rmax": 200}),
         ("thm2", {"nmax": 400, "rmax": 12}), ("thm2", {"nmax": 20, "rmax": 60}),
+        ("thm2", {"nmax": 10, "rmax": 300}), ("thm2", {"nmax": 0, "rmax": 1}), ("thm2", {"nmax": 0, "rmax": 2}),
         ("weighted", {"nmax": 45, "r": 2}),
     ],
     ids=["thm1", "cor4", "phi", "lemma1-120-8", "lemma1-200-2", "lemma1-300-8", "b-symmetry-200",
-         "thm2-400-12", "thm2-20-60", "weighted-45-2"],
+         "thm2-400-12", "thm2-20-60", "thm2-10-300", "thm2-0-1", "thm2-0-2", "weighted-45-2"],
 )
 def test_sweep_price_covers_its_peak(name, values):
     row = cli.IDENTITIES[name]

@@ -1,17 +1,16 @@
 """Wall time and memory of fixed `verify` runs, written to a BENCH_<k>.json.
 
-    python3 tools/bench.py [--quick] [--repeat K] [--out PATH]
+    python3 tools/bench.py [--quick] [--out PATH]
 
 Run it from a checkout: it imports the package from the checkout's `src/`.
 Each row runs one verifier of `cli.IDENTITIES` at fixed sizes and holds the
-call, its sizes, the best of K wall times, the tracemalloc peak of one more
-run (traced apart from the timed runs, since tracing slows the products),
-the `cli` price of the same sizes and the check count of the report.  The
-header gives the Python version, the CPU count and the git commit, with
-`dirty` set when `src/` differs from that commit.  `--quick` runs tiny
-sizes, a check of the script itself that takes well under 2 s.  Without
-`--out` the file is `BENCH_<k>.json` at the root of the checkout, k one
-more than the largest k there.
+call, its sizes, the best of REPEAT wall times, the tracemalloc peak of one
+more run (traced apart from the timed runs, since tracing slows the
+products), the `cli` price of the same sizes and the check count of the
+report.  The header gives the Python version, the CPU count and the git
+commit.  `--quick` runs tiny sizes, a check of the script itself that takes
+well under 2 s.  Without `--out` the file is `BENCH_<k>.json` at the root
+of the checkout, k one more than the largest k there.
 
 Stdlib only, and outside the package, so that importing the package does
 not get slower.
@@ -49,6 +48,8 @@ QUICK_ROWS = (
     ("thm1", {"nmax": 200, "r": 2}),
     ("lambert", {"nmax": 2000}),
 )
+# timed runs per row, the best of which is kept
+REPEAT = 3
 
 
 def _git(*argv) -> str:
@@ -56,11 +57,11 @@ def _git(*argv) -> str:
     return done.stdout.strip() if done.returncode == 0 else ""
 
 
-def measure(name: str, sizes: dict, repeat: int) -> dict:
+def measure(name: str, sizes: dict) -> dict:
     row = cli.IDENTITIES[name]
     verify = getattr(identities, row.verifier)
     walls = []
-    for _ in range(repeat):
+    for _ in range(REPEAT):
         start = time.perf_counter()
         report = verify(**row.fixed, **sizes)
         walls.append(time.perf_counter() - start)
@@ -90,23 +91,18 @@ def _next_path() -> Path:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--quick", action="store_true", help="tiny sizes, to check the script")
-    parser.add_argument("--repeat", type=int, default=3, help="timed runs per row (default 3)")
     parser.add_argument("--out", type=Path, default=None, help="file to write (default: next BENCH_<k>.json)")
     args = parser.parse_args(argv)
-    if args.repeat < 1:
-        parser.error(f"--repeat must be >= 1, got {args.repeat}")
     out = args.out or _next_path()
     rows = []
     for name, sizes in QUICK_ROWS if args.quick else ROWS:
-        rows.append(measure(name, sizes, args.repeat))
+        rows.append(measure(name, sizes))
         print(json.dumps(rows[-1]), flush=True)
     record = {
         "python": sys.version.split()[0],
         "cpus": os.cpu_count(),
         "commit": _git("rev-parse", "HEAD") or None,
-        "dirty": bool(_git("status", "--porcelain", "--", "src")),
         "quick": args.quick,
-        "repeat": args.repeat,
         "rows": rows,
     }
     out.write_text(json.dumps(record, indent=1) + "\n")
